@@ -16,7 +16,9 @@
 //! Setting `dynamic_backoff = false` yields **Chronus-PB** (§9): CCU with
 //! PRAC's fixed-count back-off policy.
 
-use chronus_dram::{BankId, Cycle, DramMitigation, Geometry, MitigationStats, RfmOutcome, RowId};
+use chronus_dram::{
+    BankId, Cycle, DramMitigation, Geometry, MitigationStats, PagedVec, RfmOutcome, RowId,
+};
 
 use crate::att::Att;
 
@@ -26,7 +28,9 @@ pub struct ChronusMechanism {
     geo: Geometry,
     nbo: u32,
     dynamic_backoff: bool,
-    counters: Vec<Vec<u32>>,
+    /// Per-row activation counters, indexed `flat_bank * rows + row`;
+    /// pages materialise only for rows that are activated.
+    counters: PagedVec<u32>,
     att: Vec<Att>,
     /// Rows at or above `N_BO`, per bank — the exact set Chronus Back-Off
     /// must service before `alert_n` de-asserts (§7.2). Tracked explicitly
@@ -61,7 +65,7 @@ impl ChronusMechanism {
             geo,
             nbo,
             dynamic_backoff,
-            counters: (0..banks).map(|_| vec![0u32; geo.rows]).collect(),
+            counters: PagedVec::new(banks * geo.rows),
             att: (0..banks).map(|_| Att::new(att_entries)).collect(),
             hot_list: (0..banks).map(|_| Vec::new()).collect(),
             hot_rows: vec![0; geo.ranks],
@@ -80,12 +84,18 @@ impl ChronusMechanism {
         self.dynamic_backoff
     }
 
+    /// Index of `(flat bank, row)` in `counters`.
+    fn slot(&self, flat: usize, row: RowId) -> usize {
+        flat * self.geo.rows + row as usize
+    }
+
     fn reset_row(&mut self, flat: usize, rank: usize, row: RowId) {
-        if self.counters[flat][row as usize] >= self.nbo {
+        let slot = self.slot(flat, row);
+        if self.counters.get(slot) >= self.nbo {
             self.hot_rows[rank] = self.hot_rows[rank].saturating_sub(1);
             self.hot_list[flat].retain(|&r| r != row);
         }
-        self.counters[flat][row as usize] = 0;
+        self.counters.set(slot, 0);
         self.att[flat].remove(row);
     }
 }
@@ -94,7 +104,7 @@ impl DramMitigation for ChronusMechanism {
     fn on_activate(&mut self, bank: BankId, row: RowId, _now: Cycle) -> bool {
         // CCU: the counter subarray updates concurrently with the access.
         let flat = bank.flat(&self.geo);
-        let c = &mut self.counters[flat][row as usize];
+        let c = self.counters.get_mut(self.slot(flat, row));
         *c += 1;
         let count = *c;
         self.stats.counter_updates += 1;
@@ -167,7 +177,7 @@ impl DramMitigation for ChronusMechanism {
     }
 
     fn counter_of(&self, bank: BankId, row: RowId) -> Option<u32> {
-        Some(self.counters[bank.flat(&self.geo)][row as usize])
+        Some(self.counters.get(self.slot(bank.flat(&self.geo), row)))
     }
 
     fn stats(&self) -> MitigationStats {

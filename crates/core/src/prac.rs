@@ -10,7 +10,9 @@
 //! the chip borrows time to transparently service one aggressor per bank
 //! (§5, "borrowed refresh").
 
-use chronus_dram::{BankId, Cycle, DramMitigation, Geometry, MitigationStats, RfmOutcome, RowId};
+use chronus_dram::{
+    BankId, Cycle, DramMitigation, Geometry, MitigationStats, PagedVec, RfmOutcome, RowId,
+};
 
 use crate::att::Att;
 
@@ -19,7 +21,9 @@ use crate::att::Att;
 pub struct PracMechanism {
     geo: Geometry,
     nbo: u32,
-    counters: Vec<Vec<u32>>,
+    /// Per-row activation counters, indexed `flat_bank * rows + row`;
+    /// pages materialise only for rows that are activated.
+    counters: PagedVec<u32>,
     att: Vec<Att>,
     /// Borrowed refresh fires on every other REFab, per rank.
     borrow_toggle: Vec<bool>,
@@ -35,7 +39,7 @@ impl PracMechanism {
         Self {
             geo,
             nbo,
-            counters: (0..banks).map(|_| vec![0u32; geo.rows]).collect(),
+            counters: PagedVec::new(banks * geo.rows),
             att: (0..banks).map(|_| Att::new(att_entries)).collect(),
             borrow_toggle: vec![false; geo.ranks],
             stats: MitigationStats::default(),
@@ -45,6 +49,11 @@ impl PracMechanism {
     /// The configured back-off threshold.
     pub fn nbo(&self) -> u32 {
         self.nbo
+    }
+
+    /// Index of `(flat bank, row)` in `counters`.
+    fn slot(&self, flat: usize, row: RowId) -> usize {
+        flat * self.geo.rows + row as usize
     }
 }
 
@@ -56,7 +65,7 @@ impl DramMitigation for PracMechanism {
 
     fn on_precharge(&mut self, bank: BankId, row: RowId, _now: Cycle) -> bool {
         let flat = bank.flat(&self.geo);
-        let c = &mut self.counters[flat][row as usize];
+        let c = self.counters.get_mut(self.slot(flat, row));
         *c += 1;
         let count = *c;
         self.stats.counter_updates += 1;
@@ -73,7 +82,7 @@ impl DramMitigation for PracMechanism {
         let flat = bank.flat(&self.geo);
         match self.att[flat].take_max() {
             Some((row, _)) => {
-                self.counters[flat][row as usize] = 0;
+                self.counters.set(self.slot(flat, row), 0);
                 self.stats.rfm_refreshes += 1;
                 RfmOutcome {
                     refreshed_aggressor: Some(row),
@@ -97,7 +106,7 @@ impl DramMitigation for PracMechanism {
         for i in 0..self.geo.banks_per_rank() {
             let flat = base + i;
             if let Some((row, _)) = self.att[flat].take_max() {
-                self.counters[flat][row as usize] = 0;
+                self.counters.set(self.slot(flat, row), 0);
                 self.stats.borrowed_refreshes += 1;
                 serviced.push((BankId::from_flat(flat, &self.geo), row));
             }
@@ -105,7 +114,7 @@ impl DramMitigation for PracMechanism {
     }
 
     fn counter_of(&self, bank: BankId, row: RowId) -> Option<u32> {
-        Some(self.counters[bank.flat(&self.geo)][row as usize])
+        Some(self.counters.get(self.slot(bank.flat(&self.geo), row)))
     }
 
     fn stats(&self) -> MitigationStats {

@@ -8,6 +8,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
+use chronus_dram::paged::{PagedVec, PAGE_LEN};
 use serde::{Deserialize, Serialize};
 
 use crate::core::SimpleO3Core;
@@ -54,7 +55,7 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Line {
     tag: u64,
     dirty: bool,
@@ -105,11 +106,14 @@ struct Mshr {
 #[derive(Debug)]
 pub struct SharedLlc {
     cfg: CacheConfig,
-    /// All lines in one flat allocation, set-major: set `s` occupies
-    /// `lines[s * ways .. (s + 1) * ways]`. One contiguous block keeps the
-    /// per-access way scan on a single cache line instead of chasing a
-    /// per-set `Vec` pointer.
-    lines: Vec<Line>,
+    /// All lines, set-major and lazily paged: set `s` occupies
+    /// `lines[s << set_shift ..][..ways]`. The set stride is `ways` rounded
+    /// up to a power of two, so a set never straddles a page and the
+    /// per-access way scan stays one contiguous slice; pages materialise
+    /// only for sets a run touches.
+    lines: PagedVec<Line>,
+    /// `log2` of the set stride in `lines`.
+    set_shift: u32,
     /// `line_bytes - 1` complement, precomputed (line alignment mask).
     line_mask: u64,
     /// `log2(line_bytes)`, precomputed (line → line-index shift).
@@ -138,18 +142,16 @@ impl SharedLlc {
             cfg.line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
+        assert!(
+            (1..=PAGE_LEN).contains(&cfg.ways),
+            "associativity must be 1..={PAGE_LEN}"
+        );
         let sets = cfg.sets();
+        let set_shift = cfg.ways.next_power_of_two().trailing_zeros();
         Self {
             cfg,
-            lines: vec![
-                Line {
-                    tag: 0,
-                    dirty: false,
-                    lru: 0,
-                    valid: false,
-                };
-                sets * cfg.ways
-            ],
+            lines: PagedVec::new(sets << set_shift),
+            set_shift,
             line_mask: !(cfg.line_bytes as u64 - 1),
             line_shift: cfg.line_bytes.trailing_zeros(),
             num_sets: sets as u64,
@@ -178,8 +180,8 @@ impl SharedLlc {
 
     /// The ways of the set holding `line_addr`, as one contiguous slice.
     fn set_ways(&mut self, line_addr: u64) -> &mut [Line] {
-        let base = self.set_of(line_addr) * self.cfg.ways;
-        &mut self.lines[base..base + self.cfg.ways]
+        let base = self.set_of(line_addr) << self.set_shift;
+        self.lines.slice_mut(base..base + self.cfg.ways)
     }
 
     fn probe(&mut self, line_addr: u64) -> Option<&mut Line> {

@@ -36,6 +36,7 @@ pub mod device;
 pub mod geometry;
 pub mod mitigation;
 pub mod oracle;
+pub mod paged;
 pub mod rank;
 pub mod stats;
 pub mod timing;
@@ -46,6 +47,7 @@ pub use device::{DramConfig, DramDevice};
 pub use geometry::{BankId, DramAddr, Geometry, RowId};
 pub use mitigation::{DramMitigation, MitigationStats, NoMitigation, RfmOutcome};
 pub use oracle::{DisturbOracle, ThresholdModel};
+pub use paged::PagedVec;
 pub use stats::DramStats;
 pub use timing::{TimingMode, Timings, TimingsNs};
 

@@ -21,6 +21,7 @@
 //!   scalar accessors report.
 
 use crate::geometry::{victims_of, BankId, Geometry, RowId};
+use crate::paged::PagedVec;
 
 /// How the would-be-bitflip threshold is assigned to rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,18 +108,20 @@ struct OracleLane {
 ///   probabilistic mechanisms such as PARA that refresh victims
 ///   individually.
 ///
-/// Counters live in flat structure-of-arrays vectors (`flat_bank × rows`)
-/// shared by every lane; only the flip verdicts are per-lane.
+/// Counters live in lazily paged structure-of-arrays vectors indexed
+/// `flat_bank * rows + row` and shared by every lane, so an oracle costs
+/// memory only for the rows the command stream touches; only the flip
+/// verdicts are per-lane.
 #[derive(Debug, Clone)]
 pub struct DisturbOracle {
     geo: Geometry,
     blast_radius: u32,
     /// damage[flat_bank * rows + row] = disturbances absorbed since last
     /// refresh.
-    damage: Vec<u32>,
+    damage: PagedVec<u32>,
     /// acts[flat_bank * rows + row] = A(row): activations since the row's
     /// victims were refreshed.
-    acts: Vec<u32>,
+    acts: PagedVec<u32>,
     max_damage: u32,
     max_acts: u32,
     lanes: Vec<OracleLane>,
@@ -151,8 +154,8 @@ impl DisturbOracle {
         Self {
             geo,
             blast_radius,
-            damage: vec![0u32; cells],
-            acts: vec![0u32; cells],
+            damage: PagedVec::new(cells),
+            acts: PagedVec::new(cells),
             max_damage: 0,
             max_acts: 0,
             lanes: models
@@ -168,7 +171,7 @@ impl DisturbOracle {
     pub fn on_activate(&mut self, bank: BankId, row: RowId) {
         let flat = bank.flat(&self.geo);
         let base = flat * self.geo.rows;
-        let a = &mut self.acts[base + row as usize];
+        let a = self.acts.get_mut(base + row as usize);
         *a += 1;
         if *a > self.max_acts {
             self.max_acts = *a;
@@ -182,7 +185,7 @@ impl DisturbOracle {
             }
         }
         for v in victims_of(row, self.blast_radius, self.geo.rows) {
-            let d = &mut self.damage[base + v as usize];
+            let d = self.damage.get_mut(base + v as usize);
             *d += 1;
             if *d > self.max_damage {
                 self.max_damage = *d;
@@ -196,7 +199,7 @@ impl DisturbOracle {
     /// when a whole victim set is serviced.
     pub fn on_row_refreshed(&mut self, bank: BankId, row: RowId) {
         let flat = bank.flat(&self.geo);
-        self.damage[flat * self.geo.rows + row as usize] = 0;
+        self.damage.set(flat * self.geo.rows + row as usize, 0);
     }
 
     /// Records that all victims of `aggressor` were refreshed: `A(aggressor)`
@@ -204,9 +207,9 @@ impl DisturbOracle {
     pub fn on_victims_refreshed(&mut self, bank: BankId, aggressor: RowId) {
         let flat = bank.flat(&self.geo);
         let base = flat * self.geo.rows;
-        self.acts[base + aggressor as usize] = 0;
+        self.acts.set(base + aggressor as usize, 0);
         for v in victims_of(aggressor, self.blast_radius, self.geo.rows) {
-            self.damage[base + v as usize] = 0;
+            self.damage.set(base + v as usize, 0);
         }
     }
 
@@ -230,9 +233,9 @@ impl DisturbOracle {
         };
         for b in base..base + self.geo.banks_per_rank() {
             let o = b * self.geo.rows;
-            self.damage[o + start..o + end].fill(0);
+            self.damage.reset_range(o + start..o + end);
             if a_start < a_end {
-                self.acts[o + a_start..o + a_end].fill(0);
+                self.acts.reset_range(o + a_start..o + a_end);
             }
         }
     }
@@ -266,12 +269,14 @@ impl DisturbOracle {
 
     /// Current absorbed damage of one row.
     pub fn damage_of(&self, bank: BankId, row: RowId) -> u32 {
-        self.damage[bank.flat(&self.geo) * self.geo.rows + row as usize]
+        self.damage
+            .get(bank.flat(&self.geo) * self.geo.rows + row as usize)
     }
 
     /// Current `A(row)` of one row.
     pub fn acts_of(&self, bank: BankId, row: RowId) -> u32 {
-        self.acts[bank.flat(&self.geo) * self.geo.rows + row as usize]
+        self.acts
+            .get(bank.flat(&self.geo) * self.geo.rows + row as usize)
     }
 
     /// The configured (nominal) disturbance threshold of the primary lane.

@@ -1,8 +1,8 @@
 //! The grid executor: cache lookup, shard filtering, fault-isolated
 //! parallel simulation, store write-back, and the order-preserving merge.
 //!
-//! Cell execution is *fault-isolated*: every attempt runs in its own
-//! watchdog-guarded thread behind `catch_unwind`, failures (panics,
+//! Cell execution is *fault-isolated*: every attempt runs on a
+//! watchdog-guarded runner thread behind `catch_unwind`, failures (panics,
 //! deadline overruns, store write errors) are retried under a capped
 //! exponential backoff, and cells that exhaust their retries are recorded
 //! in a [`FailureManifest`] instead of aborting the run. A degraded grid
@@ -286,53 +286,115 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one attempt of one cell in a dedicated watchdog-guarded thread.
-///
-/// The simulation runs behind `catch_unwind` in a freshly spawned thread
-/// while this (worker) thread waits on a channel with the deadline. A
-/// panic comes back as [`FailureKind::Panic`]; a deadline overrun as
-/// [`FailureKind::Timeout`] — the stuck thread is abandoned (it holds only
-/// cloned data and its late result is dropped with the channel).
-fn run_cell_guarded(
+/// One attempt of one cell, as handed to a [`Runner`].
+struct Attempt {
     cell: CellSpec,
     hash: String,
     attempt: u32,
     faults: Option<FaultInjector>,
-    deadline: Option<Duration>,
-) -> Result<SimReport, (FailureKind, String)> {
-    let (tx, rx) = mpsc::sync_channel::<Result<SimReport, String>>(1);
-    let spawned = std::thread::Builder::new()
-        .name(format!("cell-{}", &hash[..8.min(hash.len())]))
-        .spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(injector) = &faults {
-                    match injector.exec_fault(&hash, attempt) {
-                        Some(ExecFault::Panic) => {
-                            panic!("injected fault: panic (cell {hash}, attempt {attempt})")
-                        }
-                        Some(ExecFault::Stall(pause)) => std::thread::sleep(pause),
-                        None => {}
+}
+
+impl Attempt {
+    /// Injects the planned fault, if any, then simulates the cell.
+    fn simulate(&self) -> SimReport {
+        let (hash, attempt) = (&self.hash, self.attempt);
+        if let Some(injector) = &self.faults {
+            match injector.exec_fault(hash, attempt) {
+                Some(ExecFault::Panic) => {
+                    panic!("injected fault: panic (cell {hash}, attempt {attempt})")
+                }
+                Some(ExecFault::Stall(pause)) => std::thread::sleep(pause),
+                None => {}
+            }
+        }
+        simulate_cell(&self.cell)
+    }
+}
+
+/// A long-lived simulation thread. Attempts arrive over one channel and
+/// run behind `catch_unwind`; outcomes go back over another, on which the
+/// worker waits with the watchdog deadline.
+struct Runner {
+    attempts: mpsc::Sender<Attempt>,
+    outcomes: mpsc::Receiver<Result<SimReport, String>>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Runner {
+    fn spawn() -> std::io::Result<Self> {
+        let (attempts, inbox) = mpsc::channel::<Attempt>();
+        let (outbox, outcomes) = mpsc::sync_channel(1);
+        let thread = std::thread::Builder::new()
+            .name("cell-runner".into())
+            .spawn(move || {
+                for attempt in inbox {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| attempt.simulate()));
+                    if outbox.send(outcome.map_err(panic_message)).is_err() {
+                        return;
                     }
                 }
-                simulate_cell(&cell)
-            }));
-            let _ = tx.send(outcome.map_err(panic_message));
-        });
-    if let Err(e) = spawned {
-        return Err((FailureKind::Panic, format!("spawning cell thread: {e}")));
+            })?;
+        Ok(Self {
+            attempts,
+            outcomes,
+            thread,
+        })
     }
-    let received = match deadline {
-        Some(limit) => rx.recv_timeout(limit).map_err(|_| {
-            (
-                FailureKind::Timeout,
-                format!("watchdog deadline {limit:.1?} exceeded"),
-            )
-        })?,
-        None => rx
-            .recv()
-            .map_err(|_| (FailureKind::Panic, "cell thread died silently".to_string()))?,
-    };
-    received.map_err(|msg| (FailureKind::Panic, msg))
+}
+
+/// The runners of one grid run: a worker takes an idle runner (or spawns
+/// one) for each attempt and hands it back afterwards, so a run keeps at
+/// most one runner per worker.
+///
+/// A panic comes back as [`FailureKind::Panic`] and the runner is reused.
+/// A deadline overrun comes back as [`FailureKind::Timeout`] and its runner
+/// is abandoned: the stuck thread holds only cloned data, is never joined,
+/// and its late result is dropped with the channel. The next attempt gets
+/// a fresh runner.
+struct RunnerPool {
+    idle: Mutex<Vec<Runner>>,
+}
+
+impl RunnerPool {
+    fn new() -> Self {
+        Self {
+            idle: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn run(
+        &self,
+        attempt: Attempt,
+        deadline: Option<Duration>,
+    ) -> Result<SimReport, (FailureKind, String)> {
+        let idle = self.idle.lock().expect("runner pool lock").pop();
+        let runner = match idle {
+            Some(runner) => runner,
+            None => Runner::spawn()
+                .map_err(|e| (FailureKind::Panic, format!("spawning cell thread: {e}")))?,
+        };
+        let died = || (FailureKind::Panic, "cell thread died silently".to_string());
+        runner.attempts.send(attempt).map_err(|_| died())?;
+        let received = match deadline {
+            Some(limit) => runner.outcomes.recv_timeout(limit).map_err(|_| {
+                (
+                    FailureKind::Timeout,
+                    format!("watchdog deadline {limit:.1?} exceeded"),
+                )
+            })?,
+            None => runner.outcomes.recv().map_err(|_| died())?,
+        };
+        self.idle.lock().expect("runner pool lock").push(runner);
+        received.map_err(|msg| (FailureKind::Panic, msg))
+    }
+
+    /// Stops and joins every idle runner.
+    fn shutdown(self) {
+        for runner in self.idle.into_inner().expect("runner pool lock") {
+            drop(runner.attempts);
+            let _ = runner.thread.join();
+        }
+    }
 }
 
 /// The per-run coordination plane: lease manager + journal + the set of
@@ -643,6 +705,8 @@ pub fn run_grid_coordinated(
     let estimator_ref = &estimator;
     let plane_ref = plane.as_deref();
     let owned_indices: Vec<usize> = owned.iter().map(|&(_, i)| i).collect();
+    let runners = RunnerPool::new();
+    let runners_ref = &runners;
     let worker_results = try_run_parallel(owned_indices.clone(), opts.threads, move |i| {
         let cell = &cells_ref[i];
         let hash = hashes_ref[i].as_str();
@@ -678,11 +742,13 @@ pub fn run_grid_coordinated(
         let mut attempt: u32 = 0;
         let simulated = loop {
             let attempt_started = Instant::now();
-            let outcome = run_cell_guarded(
-                cell.clone(),
-                hash.to_string(),
-                attempt,
-                opts.faults.clone(),
+            let outcome = runners_ref.run(
+                Attempt {
+                    cell: cell.clone(),
+                    hash: hash.to_string(),
+                    attempt,
+                    faults: opts.faults.clone(),
+                },
                 estimator_ref.deadline(),
             );
             match outcome {
@@ -785,6 +851,7 @@ pub fn run_grid_coordinated(
         out
     });
 
+    runners.shutdown();
     if let Some(handle) = heartbeat {
         hb_stop.store(true, Ordering::Relaxed);
         let _ = handle.join();
@@ -982,6 +1049,7 @@ fn heal_manifest(spec: &GridSpec, store: &ResultStore) {
 mod tests {
     use super::*;
     use crate::cell::{AppTrace, WorkloadSpec};
+    use crate::faults::FaultPlan;
     use chronus_sim::SimConfig;
 
     fn tiny_spec() -> GridSpec {
@@ -1006,6 +1074,36 @@ mod tests {
             std::env::temp_dir().join(format!("chronus-grid-exec-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn runners_are_reused_after_panics_and_abandoned_after_timeouts() {
+        let cell = tiny_spec().cells[2].clone();
+        let attempt = |plan: Option<&str>| Attempt {
+            cell: cell.clone(),
+            hash: "runner-test".to_string(),
+            attempt: 0,
+            faults: plan.map(|p| FaultPlan::parse(p).unwrap().injector()),
+        };
+        let idle = |pool: &RunnerPool| pool.idle.lock().unwrap().len();
+        let pool = RunnerPool::new();
+
+        assert!(pool.run(attempt(None), None).is_ok());
+        assert_eq!(idle(&pool), 1);
+        let panicked = pool.run(attempt(Some("panic:1.0,seed:1")), None);
+        assert_eq!(panicked.unwrap_err().0, FailureKind::Panic);
+        assert_eq!(idle(&pool), 1, "a caught panic keeps its runner");
+
+        let stalled = attempt(Some("stall:1.0,stall_ms:2000,seed:1"));
+        let timed_out = pool.run(stalled, Some(Duration::from_millis(50)));
+        assert_eq!(timed_out.unwrap_err().0, FailureKind::Timeout);
+        assert_eq!(idle(&pool), 0, "the stuck runner is abandoned");
+        assert!(
+            pool.run(attempt(None), None).is_ok(),
+            "a fresh runner serves the retry"
+        );
+        assert_eq!(idle(&pool), 1);
+        pool.shutdown();
     }
 
     #[test]

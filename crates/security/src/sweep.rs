@@ -6,6 +6,9 @@
 //! the simulated mechanisms run exactly the configurations the paper's
 //! security analysis prescribes.
 
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock, PoisonError};
+
 use serde::{Deserialize, Serialize};
 
 use crate::wave::{prac_wave_max_acts, prfm_wave_max_acts, PracBackOff, WaveTiming};
@@ -68,7 +71,28 @@ pub fn prac_worst_case(nbo: u32, n_ref: u32, n_delay: u32, t: &WaveTiming) -> Wo
 
 /// Largest `RFMth` that keeps the worst-case activation count below `nrh`,
 /// or `None` if even `RFMth = 1` is insecure.
+///
+/// The search is pure and costs a dozen worst-case sweeps, and every PRFM
+/// system build asks for it, so results are memoized process-wide per
+/// `(nrh, t)`.
 pub fn prfm_secure_threshold(nrh: u32, t: &WaveTiming) -> Option<u32> {
+    type Key = (u32, [u64; 4]);
+    static MEMO: OnceLock<Mutex<HashMap<Key, Option<u32>>>> = OnceLock::new();
+    let key = (
+        nrh,
+        [t.trc_ns, t.trfm_ns, t.taboact_ns, t.trefw_ns].map(f64::to_bits),
+    );
+    // A search that panicked inserted nothing, so a poisoned map is valid.
+    let mut memo = MEMO
+        .get_or_init(Default::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    *memo
+        .entry(key)
+        .or_insert_with(|| search_prfm_secure_threshold(nrh, t))
+}
+
+fn search_prfm_secure_threshold(nrh: u32, t: &WaveTiming) -> Option<u32> {
     if prfm_worst_case(1, t).max_acts >= nrh as u64 {
         return None;
     }
@@ -258,6 +282,23 @@ mod tests {
             let nbo = prac_secure_nbo(nrh, 4, 4, &t).unwrap();
             assert!(prac_worst_case(nbo, 4, 4, &t).max_acts < nrh as u64);
             assert!(prac_worst_case(nbo + 1, 4, 4, &t).max_acts >= nrh as u64);
+        }
+    }
+
+    #[test]
+    fn memoized_prfm_threshold_matches_a_fresh_search_per_timing() {
+        let prac_t = WaveTiming::prac_default();
+        let base_t = WaveTiming::baseline_default();
+        for nrh in [8u32, 32, 1024] {
+            for t in [&prac_t, &base_t] {
+                let fresh = search_prfm_secure_threshold(nrh, t);
+                assert_eq!(
+                    prfm_secure_threshold(nrh, t),
+                    fresh,
+                    "nrh {nrh}, first call"
+                );
+                assert_eq!(prfm_secure_threshold(nrh, t), fresh, "nrh {nrh}, memoized");
+            }
         }
     }
 

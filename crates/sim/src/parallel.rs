@@ -2,14 +2,14 @@
 //!
 //! The paper's artifact farms ~500 Ramulator jobs onto a Slurm cluster;
 //! here a `std::thread::scope` worker pool runs the (workload × mechanism ×
-//! N_RH) grid on the local machine. Items are dealt round-robin into
-//! per-worker chunks; each worker owns its chunk outright and streams
-//! `(index, result)` pairs back over an mpsc channel, so no slot-level
-//! locking (and no `unsafe`) is needed while input order is still
-//! preserved in the output.
+//! N_RH) grid on the local machine. Workers self-schedule: an idle worker
+//! takes the next unclaimed item from a shared queue, so one slow item
+//! never holds back the items behind it. Each worker streams
+//! `(index, result)` pairs back over an mpsc channel, which preserves
+//! input order in the output without slot-level locking or `unsafe`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 
 /// Renders a panic payload as text for error reporting.
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -57,20 +57,17 @@ where
         return items.into_iter().map(guarded).collect();
     }
 
-    // Deal items round-robin so long-running neighbours (e.g. one slow mix
-    // class) spread across workers.
-    let mut chunks: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        chunks[i % threads].push((i, item));
-    }
-
+    // The lock is held only to take the next item, never while `f` runs,
+    // so it cannot be poisoned.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let next = || queue.lock().expect("work queue lock").next();
     let (tx, rx) = mpsc::channel::<(usize, Result<R, String>)>();
-    let guarded = &guarded;
+    let (guarded, next) = (&guarded, &next);
     std::thread::scope(|s| {
-        for chunk in chunks {
+        for _ in 0..threads {
             let tx = tx.clone();
             s.spawn(move || {
-                for (i, item) in chunk {
+                while let Some((i, item)) = next() {
                     if tx.send((i, guarded(item))).is_err() {
                         // Receiver gone: the main thread is unwinding.
                         return;
@@ -122,6 +119,28 @@ mod tests {
     fn uneven_items_balance_across_workers() {
         let out = run_parallel((0..37).collect(), 5, |x: u64| x * x);
         assert_eq!(out, (0..37).map(|x| x * x).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn idle_workers_take_the_next_item() {
+        // Item 0 finishes only after every other item has. Had items been
+        // dealt to workers up front, those queued behind item 0 on its
+        // worker could never run.
+        let (done_tx, done_rx) = mpsc::channel();
+        let done_rx = Mutex::new(done_rx);
+        let out = run_parallel((0..9).collect(), 2, |x: u32| {
+            if x == 0 {
+                let rx = done_rx.lock().unwrap();
+                for _ in 1..9 {
+                    rx.recv_timeout(std::time::Duration::from_secs(30))
+                        .expect("the other worker ran every other item");
+                }
+            } else {
+                done_tx.send(()).unwrap();
+            }
+            x
+        });
+        assert_eq!(out, (0..9).collect::<Vec<_>>());
     }
 
     #[test]

@@ -29,7 +29,7 @@ proptest! {
 
     #[test]
     fn victims_are_symmetric_and_within_blast(row in 0u32..65_536, blast in 1u32..4) {
-        let v = victims_of(row, blast, 65_536);
+        let v: Vec<_> = victims_of(row, blast, 65_536).collect();
         prop_assert!(v.len() <= 2 * blast as usize);
         for x in &v {
             let d = x.abs_diff(row);

@@ -209,6 +209,7 @@ fn run(grid_arg: Option<&str>, opts: &HarnessOpts) {
 
 fn status(grid_arg: Option<&str>, opts: &HarnessOpts) {
     let store = store_of(opts);
+    let recorded = store.recorded_walls();
     let mut degraded = false;
     for spec in specs_for(grid_arg, opts) {
         let hashes = spec.hashes();
@@ -221,7 +222,7 @@ fn status(grid_arg: Option<&str>, opts: &HarnessOpts) {
             match store.verify(h) {
                 EntryState::Ok(_) => {
                     cached += 1;
-                    if let Some(wall) = store.recorded_wall(h) {
+                    if let Some(&wall) = recorded.get(h) {
                         walls.push(wall);
                     }
                 }
@@ -259,8 +260,8 @@ fn status(grid_arg: Option<&str>, opts: &HarnessOpts) {
     }
 }
 
-/// Formats the per-grid wall-clock summary from the store's `<hash>.wall`
-/// sidecars: ` wall_p50=… wall_p90=… wall_max=…`, or the empty string when
+/// Formats the per-grid wall-clock summary from the store's wall log
+/// (`walls.log`): ` wall_p50=… wall_p90=… wall_max=…`, or the empty string when
 /// no cached cell has a recorded wall-clock (the line stays grep-stable).
 fn wall_percentiles(walls: &mut [f64]) -> String {
     if walls.is_empty() {

@@ -237,7 +237,7 @@ pub fn simulate_cell(cell: &CellSpec) -> SimReport {
 
 /// Derives watchdog deadlines from observed per-cell wall-clocks: once
 /// three samples exist, a cell gets `max(30 s, 20× mean)`. Seeded from the
-/// store's recorded wall sidecars so a resumed run is armed immediately.
+/// store's wall log (`walls.log`) so a resumed run is armed immediately.
 struct DeadlineEstimator {
     explicit: Option<Duration>,
     /// `(samples, total seconds)`.
@@ -641,15 +641,12 @@ pub fn run_grid_coordinated(
         by_hash.entry(h.as_str()).or_default().push(i);
     }
     let mut pending: Vec<(&str, usize)> = Vec::new(); // (hash, representative index)
+    let mut hits: Vec<&str> = Vec::new();
     for (hash, indices) in &by_hash {
         match store.and_then(|s| s.get(hash)) {
             Some(report) => {
                 stats.cached += indices.len();
-                if let Some(s) = store {
-                    if let Some(wall) = s.recorded_wall(hash) {
-                        estimator.record(wall);
-                    }
-                }
+                hits.push(hash);
                 for &i in indices {
                     reports[i] = Some(report.clone());
                 }
@@ -665,6 +662,14 @@ pub fn run_grid_coordinated(
         pending.into_iter().partition(|&(_, i)| opts.shard.owns(i));
     for (_, i) in &foreign {
         stats.skipped += by_hash[hashes[*i].as_str()].len();
+    }
+    // Seed the watchdog with what the cached cells cost, but only when
+    // something is left to simulate: a full replay reads no wall records.
+    if let Some(s) = store.filter(|_| !owned.is_empty()) {
+        let walls = s.recorded_walls();
+        for wall in hits.iter().filter_map(|hash| walls.get(*hash)) {
+            estimator.record(*wall);
+        }
     }
 
     // Heartbeat thread: keeps every held lease's deadline ahead of the

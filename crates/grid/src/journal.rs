@@ -2,9 +2,9 @@
 //!
 //! Each holder (one executor, `doctor` pass, `gc`, …) appends to its own
 //! `<store>/journal/<holder>.jsonl` — one compact JSON object per line,
-//! fsync'd per event, never rewritten. Single-writer-per-file means no
-//! append interleaving between processes; readers merge all files and sort
-//! by `(at_ms, holder, seq)` to reconstruct the global order.
+//! never rewritten. Single-writer-per-file means no append interleaving
+//! between processes; readers merge all files and sort by
+//! `(at_ms, holder, seq)` to reconstruct the global order.
 //!
 //! Six event kinds cover the store's whole mutation surface:
 //!
@@ -22,6 +22,14 @@
 //! down a simulation run), and `doctor` treats a missing Complete event for
 //! an existing, verified entry as benign for exactly that reason. A torn
 //! trailing line (crash mid-append) is counted and skipped by the reader.
+//!
+//! Each event reaches the operating system with one `write` at append
+//! time, so it survives a crash of the appending process. The file is
+//! fsync'd once, when the journal is dropped, not per event. The store's
+//! entries are not fsync'd either, so a per-event fsync would make the
+//! audit trail more durable than the entries it describes, at the price
+//! of a disk flush on every claim and completion. A power loss can drop
+//! the tail of the journal, which the rules above already tolerate.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -130,11 +138,11 @@ impl Journal {
         self.dir.join(format!("{}.jsonl", self.holder))
     }
 
-    /// Appends one event (fills `seq`, `at_ms`, `holder`) and fsyncs it.
+    /// Appends one event (fills `seq`, `at_ms`, `holder`) with one write.
     ///
     /// # Errors
     ///
-    /// Propagates append/fsync failures (including injected journal
+    /// Propagates append failures (including injected journal
     /// faults). Callers on the simulation path report and swallow these —
     /// audit never aborts compute.
     #[allow(clippy::too_many_arguments)]
@@ -175,11 +183,10 @@ impl Journal {
             checksum: checksum.to_string(),
             detail: detail.to_string(),
         };
-        let line = serde_json::to_string(&event).expect("journal events always serialize");
+        let mut line = serde_json::to_string(&event).expect("journal events always serialize");
+        line.push('\n');
         let file = state.file.as_mut().expect("opened above");
         file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")?;
-        file.sync_data()?;
         state.seq += 1;
         Ok(())
     }
@@ -200,6 +207,21 @@ impl Journal {
         if let Err(e) = self.append(kind, grid, hash, attempt, wall, checksum, detail) {
             eprintln!(
                 "chronus-grid: journal append failed for {hash} ({kind:?}): {e} (run continues; audit trail incomplete)"
+            );
+        }
+    }
+}
+
+impl Drop for Journal {
+    /// Flushes the appended events to disk. A failure is reported and
+    /// swallowed, like any other journal failure.
+    fn drop(&mut self) {
+        let path = self.path();
+        let state = self.state.get_mut().unwrap_or_else(|e| e.into_inner());
+        if let Some(Err(e)) = state.file.as_ref().map(File::sync_data) {
+            eprintln!(
+                "chronus-grid: journal fsync failed for {}: {e} (audit tail may not be durable)",
+                path.display()
             );
         }
     }

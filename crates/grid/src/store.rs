@@ -24,15 +24,27 @@
 //! misses on the quarantined hash and re-simulates the cell.
 //!
 //! Two kinds of non-authoritative sidecar live next to the entries:
-//! `<hash>.wall` records the wall-clock seconds the cell cost (feeding the
-//! executor's adaptive watchdog deadline) and `failures/<grid>.json` holds
-//! the [`FailureManifest`](crate::exec::FailureManifest) of the last
-//! degraded run. Neither participates in byte-identity or cache hits.
+//! `walls.log` records the wall-clock seconds each simulated cell cost
+//! (feeding the executor's adaptive watchdog deadline), one `<hash>
+//! <seconds>` line per simulation, and `failures/<grid>.json` holds the
+//! [`FailureManifest`](crate::exec::FailureManifest) of the last degraded
+//! run. Neither participates in byte-identity or cache hits.
+//!
+//! The wall log is one file appended to with one `write` per line, not a
+//! file per cell: on an ext4 store on a 2-vCPU VM, creating a small file
+//! soon after others were deleted cost about 0.5 ms of kernel time, half
+//! of what a median `fig7` cell takes to simulate, and the cost rose with
+//! the number of files deleted shortly before. A line torn by a crash, or
+//! interleaved by writers on a filesystem without atomic appends, fails to
+//! parse and is skipped. Wall records are not pruned: a record outlives a `gc`'d entry
+//! and still states what that cell cost. Stores written before the log
+//! kept a `<hash>.wall` file per cell; `fsck` and `gc` remove those.
 
-use std::collections::HashSet;
-use std::io;
+use std::collections::{HashMap, HashSet};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use chronus_sim::SimReport;
@@ -55,6 +67,9 @@ pub const DEFAULT_GRID_DIR: &str = "grid-cache";
 /// footer. Bump when the entry layout changes; `fsck` then quarantines
 /// entries written by other versions.
 pub const STORE_FORMAT_VERSION: u32 = 2;
+
+/// The wall-clock log under the store directory.
+const WALL_LOG: &str = "walls.log";
 
 /// First token of the integrity footer line.
 const FOOTER_TAG: &str = "#chronus-cell";
@@ -160,7 +175,8 @@ pub struct FsckReport {
     pub quarantined_manifests: Vec<(String, String)>,
     /// Orphaned temp files removed.
     pub reaped_tmp: usize,
-    /// Wall-clock sidecars whose entry no longer exists, removed.
+    /// Per-cell `<hash>.wall` files of the layout before `walls.log`,
+    /// removed.
     pub reaped_sidecars: usize,
     /// Entries (and temp files) left untouched because a live lease
     /// protects them.
@@ -216,6 +232,9 @@ pub struct ResultStore {
     dir: PathBuf,
     faults: Option<FaultInjector>,
     journal: Option<Arc<Journal>>,
+    /// `walls.log`, opened for appending on the first record and shared by
+    /// clones.
+    wall_log: Arc<Mutex<Option<File>>>,
 }
 
 impl ResultStore {
@@ -232,6 +251,7 @@ impl ResultStore {
             dir,
             faults: None,
             journal: None,
+            wall_log: Arc::default(),
         };
         match store.reap_tmp_older_than(STALE_TMP_AGE) {
             Ok(0) | Err(_) => {}
@@ -322,7 +342,7 @@ impl ResultStore {
         self.dir.join(format!("{hash}.json"))
     }
 
-    /// The wall-clock sidecar path of a hash.
+    /// The per-cell wall-clock file of the layout before `walls.log`.
     fn wall_path(&self, hash: &str) -> PathBuf {
         self.dir.join(format!("{hash}.wall"))
     }
@@ -425,17 +445,45 @@ impl ResultStore {
             .find_map(|t| t.strip_prefix("fnv=").map(str::to_string))
     }
 
-    /// Records the wall-clock cost of a completed cell (best-effort
-    /// sidecar; never fails the run and never affects byte-identity of the
-    /// entries themselves).
+    /// Records the wall-clock cost of a completed cell by appending a
+    /// line to `walls.log` (best-effort; never fails the run and never
+    /// affects byte-identity of the entries themselves).
     pub fn record_wall(&self, hash: &str, seconds: f64) {
-        let _ = std::fs::write(self.wall_path(hash), format!("{seconds:.6}\n"));
+        let mut log = self.wall_log.lock().unwrap_or_else(|e| e.into_inner());
+        if log.is_none() {
+            *log = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.dir.join(WALL_LOG))
+                .ok();
+        }
+        if let Some(file) = log.as_mut() {
+            let _ = file.write_all(format!("{hash} {seconds:.6}\n").as_bytes());
+        }
     }
 
-    /// The recorded wall-clock cost of a cell, if any.
+    /// The recorded wall-clock cost of a cell, if any; the latest record
+    /// when the cell was simulated more than once. Reads the whole log, so
+    /// callers that look up many cells use [`Self::recorded_walls`].
     pub fn recorded_wall(&self, hash: &str) -> Option<f64> {
-        let text = std::fs::read_to_string(self.wall_path(hash)).ok()?;
-        text.trim().parse().ok()
+        let text = self.read_wall_log();
+        wall_records(&text)
+            .filter(|&(h, _)| h == hash)
+            .map(|(_, seconds)| seconds)
+            .last()
+    }
+
+    /// Every recorded wall-clock cost, by hash (the latest record of each).
+    pub fn recorded_walls(&self) -> HashMap<String, f64> {
+        let text = self.read_wall_log();
+        wall_records(&text)
+            .map(|(hash, seconds)| (hash.to_string(), seconds))
+            .collect()
+    }
+
+    /// The text of `walls.log`; empty when nothing was recorded.
+    fn read_wall_log(&self) -> String {
+        std::fs::read_to_string(self.dir.join(WALL_LOG)).unwrap_or_default()
     }
 
     /// Hashes of all completed entries in the store.
@@ -458,7 +506,7 @@ impl ResultStore {
         Ok(out)
     }
 
-    /// Deletes every entry (and its wall sidecar) whose hash is not in
+    /// Deletes every entry (and its old-layout wall file) whose hash is not in
     /// `keep`; returns how many entries were removed. Takes the store
     /// lock; entries protected by a live lease are skipped (a concurrent
     /// executor is computing them right now).
@@ -522,7 +570,7 @@ impl ResultStore {
     /// Scans the whole store: verifies every entry, moves the ones that
     /// fail into `quarantine/` (re-enqueueing them — the next run misses
     /// and re-simulates), quarantines corrupt failure manifests, reaps
-    /// temp files and orphaned wall sidecars. Takes the store lock; cells
+    /// temp files and old-layout `<hash>.wall` files. Takes the store lock; cells
     /// protected by a live lease are skipped, not judged.
     ///
     /// # Errors
@@ -580,7 +628,7 @@ impl ResultStore {
             if leased.contains(&hash) {
                 continue;
             }
-            if !self.contains(&hash) && std::fs::remove_file(self.wall_path(&hash)).is_ok() {
+            if std::fs::remove_file(self.wall_path(&hash)).is_ok() {
                 report.reaped_sidecars += 1;
             }
         }
@@ -695,6 +743,15 @@ impl ResultStore {
 /// Whether `s` looks like a store hash (32 lowercase hex chars).
 fn is_hash(s: &str) -> bool {
     s.len() == 32 && s.bytes().all(|b| b.is_ascii_hexdigit())
+}
+
+/// The well-formed `<hash> <seconds>` lines of a wall log, in order.
+fn wall_records(text: &str) -> impl Iterator<Item = (&str, f64)> {
+    text.lines().filter_map(|line| {
+        let (hash, seconds) = line.split_once(' ')?;
+        let seconds: f64 = seconds.parse().ok()?;
+        (is_hash(hash) && seconds.is_finite() && seconds >= 0.0).then_some((hash, seconds))
+    })
 }
 
 /// The cell hash embedded in a temp-file name (`.{hash}.{pid}.tmp`).
@@ -877,12 +934,20 @@ mod tests {
         std::fs::write(store.path_of(&bogus), "{}").unwrap();
         store.record_wall(&bogus, 9.0);
 
+        let old_layout_wall = dir.join(format!("{bogus}.wall"));
+        std::fs::write(&old_layout_wall, "9.000000\n").unwrap();
+
         let keep: HashSet<String> = [hash.clone()].into_iter().collect();
         assert_eq!(store.gc(&keep).unwrap(), 1);
         assert!(store.contains(&hash));
         assert!(!store.contains(&bogus));
         assert_eq!(store.recorded_wall(&hash), Some(1.5));
-        assert_eq!(store.recorded_wall(&bogus), None, "gc removes sidecars");
+        assert!(
+            !old_layout_wall.exists(),
+            "gc removes old-layout wall files"
+        );
+        // The log is not pruned: the record still states what the cell cost.
+        assert_eq!(store.recorded_wall(&bogus), Some(9.0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -904,12 +969,14 @@ mod tests {
     fn fsck_quarantines_and_reaps() {
         let (dir, store, hash, _) = populated("fsck");
         store.record_wall(&hash, 0.5);
-        // A truncated second entry, a temp orphan, and an orphan sidecar.
+        // A truncated second entry, a temp orphan, and two per-cell wall
+        // files of the old layout.
         let bad = "b".repeat(32);
         let good_bytes = std::fs::read_to_string(store.path_of(&hash)).unwrap();
         std::fs::write(store.path_of(&bad), &good_bytes[..40]).unwrap();
         std::fs::write(dir.join(".orphan.99.tmp"), "x").unwrap();
-        store.record_wall(&"c".repeat(32), 2.0);
+        std::fs::write(dir.join(format!("{hash}.wall")), "0.5\n").unwrap();
+        std::fs::write(dir.join(format!("{}.wall", "c".repeat(32))), "2.0\n").unwrap();
 
         let report = store.fsck().unwrap();
         assert_eq!(report.scanned, 2);
@@ -917,7 +984,7 @@ mod tests {
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.quarantined[0].0, format!("{bad}.json"));
         assert_eq!(report.reaped_tmp, 1);
-        assert_eq!(report.reaped_sidecars, 1);
+        assert_eq!(report.reaped_sidecars, 2);
         assert!(!report.is_clean());
 
         // The bad entry is gone from the store but preserved under
@@ -1068,13 +1135,32 @@ mod tests {
     }
 
     #[test]
-    fn wall_sidecars_roundtrip() {
+    fn wall_log_roundtrip() {
         let dir = scratch("wall");
         let store = ResultStore::open(&dir).unwrap();
-        let hash = "a".repeat(32);
-        assert_eq!(store.recorded_wall(&hash), None);
-        store.record_wall(&hash, 12.25);
-        assert_eq!(store.recorded_wall(&hash), Some(12.25));
+        let (a, b) = ("a".repeat(32), "b".repeat(32));
+        assert_eq!(store.recorded_wall(&a), None);
+        assert!(store.recorded_walls().is_empty());
+        store.record_wall(&a, 12.25);
+        store.record_wall(&b, 0.5);
+        // A torn line and a re-simulation: the latest well-formed record wins.
+        let mut log = OpenOptions::new()
+            .append(true)
+            .open(dir.join(WALL_LOG))
+            .unwrap();
+        log.write_all(format!("{b} 0.7").as_bytes()).unwrap();
+        log.write_all(b"\n").unwrap();
+        log.write_all(format!("{a} 1").as_bytes()).unwrap();
+        log.write_all(b"2.5x\n").unwrap();
+        ResultStore::open(&dir).unwrap().record_wall(&a, 3.0);
+        assert_eq!(store.recorded_wall(&a), Some(3.0));
+        assert_eq!(store.recorded_wall(&b), Some(0.7));
+        let all = store.recorded_walls();
+        assert_eq!(all.len(), 2);
+        assert_eq!(all[&a], 3.0);
+        assert_eq!(all[&b], 0.7);
+        // One file for the store, not one per cell.
+        assert!(!dir.join(format!("{a}.wall")).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -80,15 +80,29 @@ fn main() {
 
 /// Runs one figure binary; returns whether it ended degraded. A degraded
 /// child (some cells failed permanently) does not stop the sequence — the
-/// remaining figures still render from their own healthy cells. Any other
+/// remaining figures still render from their own healthy cells. A sibling
+/// binary that cannot be started is a usage error (exit 2); any other
 /// failure aborts.
 fn run(bin: &str, args: &[&str]) -> bool {
     let exe = std::env::current_exe().expect("self path");
     let dir = exe.parent().expect("bin dir");
-    let status = Command::new(dir.join(bin))
-        .args(args)
-        .status()
-        .unwrap_or_else(|e| panic!("spawning {bin}: {e}"));
+    let path = dir.join(bin);
+    let status = match Command::new(&path).args(args).status() {
+        Ok(status) => status,
+        Err(e) => {
+            let release = if dir.ends_with("debug") {
+                ""
+            } else {
+                " --release"
+            };
+            eprintln!("all_figures: cannot run {bin} ({}): {e}", path.display());
+            eprintln!(
+                "all_figures: build every figure binary first: \
+                 cargo build{release} -p chronus-bench --bins"
+            );
+            std::process::exit(2);
+        }
+    };
     if status.code() == Some(DEGRADED_EXIT) {
         eprintln!("all_figures: {bin} completed DEGRADED (exit {DEGRADED_EXIT}); continuing");
         return true;

@@ -1,7 +1,15 @@
 //! The grid executor: cache lookup, shard filtering, fault-isolated
 //! parallel simulation, store write-back, and the order-preserving merge.
 //!
-//! Cell execution is *fault-isolated*: every attempt runs on a
+//! The unit of work is a *cohort group*: the owned misses that share a
+//! workload and a [`SimConfig::cohort_key`]. Their simulations are
+//! timing-identical, so a group of several runs as one
+//! [`System::run_batch`] call over once-generated traces; a group of one
+//! runs as a plain [`simulate_cell`]. Grouping follows from the cells
+//! alone — no option selects it — and every member keeps its own content
+//! hash, store entry, lease, journal events and failure record.
+//!
+//! Group execution is *fault-isolated*: every attempt runs on a
 //! watchdog-guarded runner thread behind `catch_unwind`, failures (panics,
 //! deadline overruns, store write errors) are retried under a capped
 //! exponential backoff, and cells that exhaust their retries are recorded
@@ -10,11 +18,11 @@
 //! and reports the casualties — the contract multi-hour, multi-machine
 //! sweeps depend on.
 //!
-//! Store-backed runs are additionally *coordinated* (see [`CoordOpts`]):
-//! each miss is claimed through a heartbeat-refreshed lease before
-//! simulating, so N concurrent processes sharing one store partition the
-//! grid dynamically with zero duplicate simulation — a cell leased by a
-//! live holder is waited on, not recomputed. Every claim, completion and
+//! Store-backed runs are additionally *coordinated*: each member is claimed
+//! through a heartbeat-refreshed lease before simulating, so N concurrent
+//! processes sharing one store partition the grid dynamically with zero
+//! duplicate simulation — a cell leased by a live holder is split off its
+//! group and waited on, not recomputed. Every claim, completion and
 //! failure is appended to the store's operations journal, and the failure
 //! manifest is merged under the advisory store lock instead of
 //! last-writer-wins. Coordination failures (lease I/O errors) degrade to
@@ -28,7 +36,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use chronus_sim::{try_run_parallel, SimReport, System};
+use chronus_sim::{try_run_parallel, SimConfig, SimReport, System};
 use serde::{Deserialize, Serialize};
 
 use crate::cell::CellSpec;
@@ -55,33 +63,6 @@ const LEASE_TTL_FLOOR: Duration = Duration::from_secs(15);
 /// How long a waiter sleeps between polls of a cell leased elsewhere.
 const LEASE_WAIT_POLL: Duration = Duration::from_millis(150);
 
-/// Inter-process coordination options for store-backed runs. Defaults are
-/// what every CLI entry point uses; tests shrink `lease_ttl` to exercise
-/// stale-lease reclamation quickly.
-#[derive(Debug, Clone)]
-pub struct CoordOpts {
-    /// Lease claims + operations journal (on by default when a store is
-    /// present; irrelevant without one).
-    pub enabled: bool,
-    /// Override the lease time-to-live. `None` derives it from the
-    /// watchdog deadline estimator (20× observed mean wall-clock), floored
-    /// at 15 s — a lease always outlives its heartbeat interval by 4×.
-    pub lease_ttl: Option<Duration>,
-    /// Override the holder identity recorded in leases and the journal.
-    /// `None` mints a process-unique `host-pid-instance` id.
-    pub holder: Option<String>,
-}
-
-impl Default for CoordOpts {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            lease_ttl: None,
-            holder: None,
-        }
-    }
-}
-
 /// Execution options.
 #[derive(Debug, Clone)]
 pub struct ExecOpts {
@@ -93,13 +74,22 @@ pub struct ExecOpts {
     pub progress: bool,
     /// Retry policy for failed cell attempts and store writes.
     pub retry: RetryPolicy,
-    /// Hard per-cell watchdog deadline. `None` derives one adaptively from
-    /// the wall-clock of cells recorded so far (20× the observed mean,
-    /// floored at 30 s, armed only once three samples exist).
+    /// Hard per-cell watchdog deadline; a group of N cells gets N times
+    /// it. `None` derives one adaptively from the wall-clock of cells
+    /// recorded so far (20× the observed mean, floored at 30 s, armed only
+    /// once three samples exist).
     pub cell_timeout: Option<Duration>,
     /// Deterministic fault injection at the executor boundary (see
     /// [`crate::faults`]); `None` (the default) costs nothing.
     pub faults: Option<FaultInjector>,
+    /// Lease time-to-live of store-backed runs. `None` derives it from the
+    /// watchdog deadline estimator, floored at 15 s — a lease always
+    /// outlives its heartbeat interval by 4×. Tests shrink it to exercise
+    /// stale-lease reclamation quickly.
+    pub lease_ttl: Option<Duration>,
+    /// Holder identity recorded in leases and the journal. `None` mints a
+    /// process-unique `host-pid-instance` id.
+    pub holder: Option<String>,
 }
 
 impl Default for ExecOpts {
@@ -113,6 +103,8 @@ impl Default for ExecOpts {
             retry: RetryPolicy::default(),
             cell_timeout: None,
             faults: None,
+            lease_ttl: None,
+            holder: None,
         }
     }
 }
@@ -286,17 +278,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One attempt of one cell, as handed to a [`Runner`].
+/// One attempt of one cohort group, as handed to a [`Runner`].
 struct Attempt {
-    cell: CellSpec,
+    /// The group's members: one cell, or cells sharing a workload and a
+    /// cohort key.
+    cells: Vec<CellSpec>,
+    /// The first member's hash; keys fault injection, so a group of one
+    /// sees exactly the faults its cell would.
     hash: String,
     attempt: u32,
     faults: Option<FaultInjector>,
 }
 
 impl Attempt {
-    /// Injects the planned fault, if any, then simulates the cell.
-    fn simulate(&self) -> SimReport {
+    /// Injects the planned fault, if any, then simulates the group: one
+    /// cell solo, several as one lockstep [`System::run_batch`] over
+    /// traces generated once. Reports come back in member order.
+    fn simulate(&self) -> Vec<SimReport> {
         let (hash, attempt) = (&self.hash, self.attempt);
         if let Some(injector) = &self.faults {
             match injector.exec_fault(hash, attempt) {
@@ -307,7 +305,15 @@ impl Attempt {
                 None => {}
             }
         }
-        simulate_cell(&self.cell)
+        match self.cells.as_slice() {
+            [cell] => vec![simulate_cell(cell)],
+            cells => {
+                let first = &cells[0];
+                let traces = first.workload.traces(&first.config.geometry);
+                let cfgs: Vec<SimConfig> = cells.iter().map(|c| c.config.clone()).collect();
+                System::run_batch(&cfgs, &traces)
+            }
+        }
     }
 }
 
@@ -316,7 +322,7 @@ impl Attempt {
 /// worker waits with the watchdog deadline.
 struct Runner {
     attempts: mpsc::Sender<Attempt>,
-    outcomes: mpsc::Receiver<Result<SimReport, String>>,
+    outcomes: mpsc::Receiver<Result<Vec<SimReport>, String>>,
     thread: std::thread::JoinHandle<()>,
 }
 
@@ -366,7 +372,7 @@ impl RunnerPool {
         &self,
         attempt: Attempt,
         deadline: Option<Duration>,
-    ) -> Result<SimReport, (FailureKind, String)> {
+    ) -> Result<Vec<SimReport>, (FailureKind, String)> {
         let idle = self.idle.lock().expect("runner pool lock").pop();
         let runner = match idle {
             Some(runner) => runner,
@@ -409,20 +415,16 @@ struct CoordPlane {
 }
 
 impl CoordPlane {
-    fn open(
-        store: &ResultStore,
-        grid: &str,
-        coord: &CoordOpts,
-        faults: Option<FaultInjector>,
-    ) -> std::io::Result<Self> {
-        let holder = coord.holder.clone().unwrap_or_else(lease::unique_holder);
-        let leases = LeaseManager::open(store.dir(), holder.clone())?.with_faults(faults.clone());
-        let journal = Arc::new(Journal::open(store.dir(), holder).with_faults(faults));
+    fn open(store: &ResultStore, grid: &str, opts: &ExecOpts) -> std::io::Result<Self> {
+        let holder = opts.holder.clone().unwrap_or_else(lease::unique_holder);
+        let leases =
+            LeaseManager::open(store.dir(), holder.clone())?.with_faults(opts.faults.clone());
+        let journal = Arc::new(Journal::open(store.dir(), holder).with_faults(opts.faults.clone()));
         Ok(Self {
             leases,
             journal,
             grid: grid.to_string(),
-            ttl_override: coord.lease_ttl,
+            ttl_override: opts.lease_ttl,
             active: Mutex::new(HashSet::new()),
         })
     }
@@ -448,16 +450,18 @@ impl CoordPlane {
             .insert(hash.to_string());
     }
 
+    /// Stops heartbeating `hash` and releases its lease, as one step under
+    /// the `active` lock (see [`Self::refresh`]).
     fn release(&self, hash: &str) {
-        self.active
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(hash);
+        let mut active = self.active.lock().unwrap_or_else(|e| e.into_inner());
+        active.remove(hash);
         self.leases.release(hash);
     }
 
-    /// Refreshes every lease this run holds (heartbeat-thread body).
-    fn refresh_active(&self, estimator: &DeadlineEstimator) {
+    /// Refreshes every lease this run holds (heartbeat-thread body);
+    /// returns how many were lost.
+    fn refresh_active(&self, estimator: &DeadlineEstimator) -> usize {
+        let ttl = self.ttl(estimator);
         let held: Vec<String> = self
             .active
             .lock()
@@ -465,15 +469,33 @@ impl CoordPlane {
             .iter()
             .cloned()
             .collect();
-        let ttl = self.ttl(estimator);
-        for hash in held {
-            match self.leases.refresh(&hash, ttl) {
-                Ok(true) => {}
-                Ok(false) => eprintln!(
+        held.iter().filter(|hash| self.refresh(hash, ttl)).count()
+    }
+
+    /// Refreshes `hash` if this run still holds it; returns whether the
+    /// lease was lost. "Still held?" and the refresh are one step under the
+    /// `active` lock, as are the removal and release in [`Self::release`].
+    /// Otherwise a release landing between the heartbeat's snapshot and its
+    /// refresh would be reported as a lost lease, or the refresh's `rename`
+    /// would bring the released lease back for the next executor to reclaim
+    /// as a crashed holder's.
+    fn refresh(&self, hash: &str, ttl: Duration) -> bool {
+        let active = self.active.lock().unwrap_or_else(|e| e.into_inner());
+        if !active.contains(hash) {
+            return false;
+        }
+        match self.leases.refresh(hash, ttl) {
+            Ok(true) => false,
+            Ok(false) => {
+                eprintln!(
                     "chronus-grid: lease on cell {hash} was lost (reclaimed as stale); \
                      continuing — a duplicate computation is possible but harmless"
-                ),
-                Err(e) => eprintln!("chronus-grid: lease heartbeat for {hash} failed: {e}"),
+                );
+                true
+            }
+            Err(e) => {
+                eprintln!("chronus-grid: lease heartbeat for {hash} failed: {e}");
+                false
             }
         }
     }
@@ -506,59 +528,6 @@ impl CoordPlane {
     }
 }
 
-/// How a worker obtained the right to produce a cell's report.
-enum ClaimResult {
-    /// We hold the lease; simulate.
-    Claimed,
-    /// Another process completed the cell while we waited; here is its
-    /// verified result (boxed: a report dwarfs the other variants).
-    Resolved(Box<SimReport>),
-    /// Lease I/O failed; proceed without coordination (duplicate compute
-    /// possible, corruption not).
-    Uncoordinated,
-}
-
-/// Claims `hash` or waits out the live holder. Stale leases (crashed
-/// holders) are reclaimed inside `try_claim`, so a waiter never blocks
-/// longer than one TTL past the holder's death.
-fn claim_or_wait(
-    plane: &CoordPlane,
-    store: &ResultStore,
-    hash: &str,
-    ttl: Duration,
-) -> ClaimResult {
-    loop {
-        match plane.leases.try_claim(hash, ttl) {
-            Ok(ClaimOutcome::Claimed) => {
-                // Double-check under the lease: the entry may have landed
-                // between the cache pass and this claim.
-                if let Some(report) = store.get(hash) {
-                    plane.leases.release(hash);
-                    return ClaimResult::Resolved(Box::new(report));
-                }
-                plane.register(hash);
-                return ClaimResult::Claimed;
-            }
-            Ok(ClaimOutcome::Held(_)) => {
-                std::thread::sleep(LEASE_WAIT_POLL);
-                if let Some(report) = store.get(hash) {
-                    return ClaimResult::Resolved(Box::new(report));
-                }
-                // Not there yet: the holder is still computing (wait more)
-                // or failed/died (the next try_claim reclaims or surfaces
-                // its release).
-            }
-            Err(e) => {
-                eprintln!(
-                    "chronus-grid: lease claim for cell {hash} failed ({e}); continuing \
-                     uncoordinated (worst case: duplicate compute)"
-                );
-                return ClaimResult::Uncoordinated;
-            }
-        }
-    }
-}
-
 /// What one worker produced for one owned cell.
 struct CellDone {
     report: SimReport,
@@ -568,13 +537,236 @@ struct CellDone {
     waited: bool,
 }
 
+/// One member's result, keyed by its (representative) spec index.
+type MemberOutcome = (usize, Result<CellDone, CellFailure>);
+
+/// Partitions the owned misses into cohort groups: cells sharing a
+/// workload and a [`SimConfig::cohort_key`] (which includes the geometry),
+/// so their traces are identical and their timing is too. Groups and their
+/// members keep spec order.
+fn cohort_groups(cells: &[CellSpec], owned: &[usize]) -> Vec<Vec<usize>> {
+    let mut group_of: HashMap<String, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for &i in owned {
+        let cell = &cells[i];
+        let key = serde_json::to_string(&(&cell.workload, cell.config.cohort_key()))
+            .expect("workload and config serialize");
+        let g = *group_of.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
+    }
+    groups
+}
+
+/// What every worker of one run shares.
+struct GroupExec<'a> {
+    cells: &'a [CellSpec],
+    hashes: &'a [String],
+    store: Option<&'a ResultStore>,
+    plane: Option<&'a CoordPlane>,
+    opts: &'a ExecOpts,
+    estimator: &'a DeadlineEstimator,
+    runners: &'a RunnerPool,
+    progress: &'a Progress,
+}
+
+impl GroupExec<'_> {
+    /// Records a journal event for cell `i` when the run is coordinated.
+    fn journal(&self, kind: EventKind, i: usize, attempt: u32, wall: f64, sum: &str, note: &str) {
+        if let Some(plane) = self.plane {
+            plane
+                .journal
+                .record(kind, &plane.grid, &self.hashes[i], attempt, wall, sum, note);
+        }
+    }
+
+    /// Produces a report for every member of one cohort group.
+    ///
+    /// A store-backed run claims each member's lease first. Members leased
+    /// by a live holder are split off; the rest simulate as one group and
+    /// release their leases. Only then are the split-off members waited on
+    /// (and claimed again if their holder gave up), so this executor never
+    /// waits while it holds a lease and two executors cannot deadlock on
+    /// each other's members.
+    fn run_group(&self, members: &[usize]) -> Vec<MemberOutcome> {
+        let (Some(store), Some(plane)) = (self.store, self.plane) else {
+            return self.simulate(members);
+        };
+        let mut out = Vec::with_capacity(members.len());
+        let mut todo = members.to_vec();
+        loop {
+            let ttl = plane.ttl(self.estimator);
+            let (mut run, mut held) = (Vec::new(), Vec::new());
+            for i in todo {
+                let hash = self.hashes[i].as_str();
+                match plane.leases.try_claim(hash, ttl) {
+                    Ok(ClaimOutcome::Claimed) => {
+                        // Double-check under the lease: the entry may have
+                        // landed between the cache pass and this claim.
+                        if let Some(report) = store.get(hash) {
+                            plane.leases.release(hash);
+                            out.push(self.waited(i, report));
+                            continue;
+                        }
+                        plane.register(hash);
+                        self.journal(EventKind::Claim, i, 0, 0.0, "", "");
+                        run.push(i);
+                    }
+                    Ok(ClaimOutcome::Held(_)) => held.push(i),
+                    Err(e) => {
+                        eprintln!(
+                            "chronus-grid: lease claim for cell {hash} failed ({e}); continuing \
+                             uncoordinated (worst case: duplicate compute)"
+                        );
+                        self.journal(EventKind::Claim, i, 0, 0.0, "", "uncoordinated");
+                        run.push(i);
+                    }
+                }
+            }
+            if !run.is_empty() {
+                out.extend(self.simulate(&run));
+                for &i in &run {
+                    plane.release(&self.hashes[i]);
+                }
+            }
+            if held.is_empty() {
+                return out;
+            }
+            // The holder is still computing (poll again) or failed/died
+            // (the next claim reclaims or surfaces its release).
+            std::thread::sleep(LEASE_WAIT_POLL);
+            todo = Vec::new();
+            for i in held {
+                match store.get(&self.hashes[i]) {
+                    Some(report) => out.push(self.waited(i, report)),
+                    None => todo.push(i),
+                }
+            }
+        }
+    }
+
+    /// A member resolved by another process's computation.
+    fn waited(&self, i: usize, report: SimReport) -> MemberOutcome {
+        self.progress.cell_done(&self.cells[i].label);
+        let done = CellDone {
+            report,
+            store_failure: None,
+            waited: true,
+        };
+        (i, Ok(done))
+    }
+
+    /// Simulates `members` as one group, isolated and retried, and
+    /// persists each member's report with its share of the group wall.
+    fn simulate(&self, members: &[usize]) -> Vec<MemberOutcome> {
+        let hash = &self.hashes[members[0]];
+        let token = mix64(hash.as_bytes());
+        let size = members.len() as u32;
+        let mut attempt: u32 = 0;
+        loop {
+            let attempt_started = Instant::now();
+            let outcome = self.runners.run(
+                Attempt {
+                    cells: members.iter().map(|&i| self.cells[i].clone()).collect(),
+                    hash: hash.clone(),
+                    attempt,
+                    faults: self.opts.faults.clone(),
+                },
+                self.estimator.deadline().map(|d| d * size),
+            );
+            match outcome {
+                Ok(reports) => {
+                    let wall = attempt_started.elapsed().as_secs_f64() / f64::from(size);
+                    return members
+                        .iter()
+                        .zip(reports)
+                        .map(|(&i, report)| {
+                            self.estimator.record(wall);
+                            self.progress.cell_done(&self.cells[i].label);
+                            (i, Ok(self.persist(i, report, attempt, wall)))
+                        })
+                        .collect();
+                }
+                Err((kind, error)) => {
+                    for &i in members {
+                        self.progress
+                            .cell_failed(&self.cells[i].label, attempt, &error);
+                    }
+                    if attempt < self.opts.retry.max_retries {
+                        self.opts.retry.sleep_before_retry(attempt, token);
+                        attempt += 1;
+                        continue;
+                    }
+                    return members
+                        .iter()
+                        .map(|&i| {
+                            let note = format!("{kind:?}: {error}");
+                            self.journal(EventKind::Fail, i, attempt + 1, 0.0, "", &note);
+                            let failure = CellFailure {
+                                index: i,
+                                label: self.cells[i].label.clone(),
+                                hash: self.hashes[i].clone(),
+                                kind,
+                                attempts: attempt + 1,
+                                error: error.clone(),
+                            };
+                            (i, Err(failure))
+                        })
+                        .collect();
+                }
+            }
+        }
+    }
+
+    /// Writes one fresh report to the store (when there is one), with its
+    /// wall record and journal event.
+    fn persist(&self, i: usize, report: SimReport, attempt: u32, wall: f64) -> CellDone {
+        let mut store_failure = None;
+        if let Some(store) = self.store {
+            let (hash, cell) = (self.hashes[i].as_str(), &self.cells[i]);
+            match put_with_retry(store, hash, cell, &report, &self.opts.retry) {
+                Ok(checksum) => {
+                    store.record_wall(hash, wall);
+                    self.journal(EventKind::Complete, i, attempt, wall, &checksum, "");
+                }
+                Err(e) => {
+                    eprintln!(
+                        "chronus-grid: failed to persist cell {hash} to {}: {e}",
+                        store.dir().display()
+                    );
+                    let note = format!("store-write: {e}");
+                    self.journal(EventKind::Fail, i, attempt, wall, "", &note);
+                    store_failure = Some(CellFailure {
+                        index: i,
+                        label: cell.label.clone(),
+                        hash: hash.to_string(),
+                        kind: FailureKind::StoreWrite,
+                        attempts: self.opts.retry.attempts(),
+                        error: e.to_string(),
+                    });
+                }
+            }
+        }
+        CellDone {
+            report,
+            store_failure,
+            waited: false,
+        }
+    }
+}
+
 /// Executes a grid: serves cached cells from `store`, simulates the misses
-/// this shard owns (in parallel, each attempt fault-isolated), and
-/// persists every fresh result. `store: None` disables caching entirely —
-/// every owned cell re-simulates and nothing touches the filesystem.
+/// this shard owns (in parallel, one cohort group per work unit, each
+/// attempt fault-isolated), and persists every fresh result. `store: None`
+/// disables caching entirely — every owned cell re-simulates and nothing
+/// touches the filesystem.
 ///
 /// Identical cells (same content hash) appearing at several spec positions
-/// are simulated once and fanned out to all positions.
+/// are simulated once and fanned out to all positions. Cells sharing a
+/// workload and cohort key simulate as one group; each still counts as
+/// simulated and gets its own store entry, byte-identical to a solo fill.
 ///
 /// A failing cell never aborts the run: attempts are retried under
 /// `opts.retry`, and cells that exhaust their budget are recorded in
@@ -582,18 +774,8 @@ struct CellDone {
 /// [`FailureManifest`]) while every other cell completes normally.
 ///
 /// Store-backed runs coordinate through leases and the operations journal
-/// with default [`CoordOpts`]; see [`run_grid_coordinated`].
+/// (`opts.holder`, `opts.lease_ttl`); see the module docs.
 pub fn run_grid(spec: &GridSpec, store: Option<&ResultStore>, opts: &ExecOpts) -> GridOutcome {
-    run_grid_coordinated(spec, store, opts, &CoordOpts::default())
-}
-
-/// [`run_grid`] with explicit inter-process coordination options.
-pub fn run_grid_coordinated(
-    spec: &GridSpec,
-    store: Option<&ResultStore>,
-    opts: &ExecOpts,
-    coord: &CoordOpts,
-) -> GridOutcome {
     let started = Instant::now();
     let hashes = spec.hashes();
     let mut reports: Vec<Option<SimReport>> = vec![None; spec.cells.len()];
@@ -605,21 +787,17 @@ pub fn run_grid_coordinated(
 
     // Coordination plane (leases + journal) for store-backed runs; lease
     // I/O failure at open degrades to uncoordinated execution.
-    let plane: Option<Arc<CoordPlane>> = match store {
-        Some(s) if coord.enabled => {
-            match CoordPlane::open(s, &spec.name, coord, opts.faults.clone()) {
-                Ok(plane) => Some(Arc::new(plane)),
-                Err(e) => {
-                    eprintln!(
-                        "chronus-grid: could not open lease/journal plane ({e}); running \
-                         uncoordinated"
-                    );
-                    None
-                }
+    let plane: Option<Arc<CoordPlane>> =
+        store.and_then(|s| match CoordPlane::open(s, &spec.name, opts) {
+            Ok(plane) => Some(Arc::new(plane)),
+            Err(e) => {
+                eprintln!(
+                    "chronus-grid: could not open lease/journal plane ({e}); running \
+                     uncoordinated"
+                );
+                None
             }
-        }
-        _ => None,
-    };
+        });
     // Route store-level events (demotes) through this run's journal unless
     // the store already carries one.
     let journaled_store: Option<ResultStore> = match (store, &plane) {
@@ -640,7 +818,7 @@ pub fn run_grid_coordinated(
     for (i, h) in hashes.iter().enumerate() {
         by_hash.entry(h.as_str()).or_default().push(i);
     }
-    let mut pending: Vec<(&str, usize)> = Vec::new(); // (hash, representative index)
+    let mut pending: Vec<usize> = Vec::new(); // representative indices
     let mut hits: Vec<&str> = Vec::new();
     for (hash, indices) in &by_hash {
         match store.and_then(|s| s.get(hash)) {
@@ -651,17 +829,17 @@ pub fn run_grid_coordinated(
                     reports[i] = Some(report.clone());
                 }
             }
-            None => pending.push((hash, indices[0])),
+            None => pending.push(indices[0]),
         }
     }
 
     // Shard filter: a duplicated hash is owned by the shard owning its
     // first (representative) position.
-    pending.sort_by_key(|&(_, i)| i);
-    let (owned, foreign): (Vec<_>, Vec<_>) =
-        pending.into_iter().partition(|&(_, i)| opts.shard.owns(i));
-    for (_, i) in &foreign {
-        stats.skipped += by_hash[hashes[*i].as_str()].len();
+    pending.sort_unstable();
+    let (owned, foreign): (Vec<usize>, Vec<usize>) =
+        pending.into_iter().partition(|&i| opts.shard.owns(i));
+    for &i in &foreign {
+        stats.skipped += by_hash[hashes[i].as_str()].len();
     }
     // Seed the watchdog with what the cached cells cost, but only when
     // something is left to simulate: a full replay reads no wall records.
@@ -699,161 +877,27 @@ pub fn run_grid_coordinated(
             .expect("spawn heartbeat thread")
     });
 
-    // Simulate the owned misses, each cell isolated and retried. Claims,
-    // store writes and journal events all happen inside the worker, so a
-    // cell's lease is released the moment its entry lands — not at the
-    // end-of-grid barrier.
+    // Simulate the owned misses group by group. Claims, store writes and
+    // journal events all happen inside the worker, so a group's leases are
+    // released the moment its entries land — not at the end-of-grid
+    // barrier.
     let progress = Progress::new(&spec.name, owned.len(), opts.progress);
-    let progress_ref = &progress;
-    let cells_ref = &spec.cells;
-    let hashes_ref = &hashes;
-    let estimator_ref = &estimator;
-    let plane_ref = plane.as_deref();
-    let owned_indices: Vec<usize> = owned.iter().map(|&(_, i)| i).collect();
     let runners = RunnerPool::new();
-    let runners_ref = &runners;
-    let worker_results = try_run_parallel(owned_indices.clone(), opts.threads, move |i| {
-        let cell = &cells_ref[i];
-        let hash = hashes_ref[i].as_str();
-
-        // Claim the cell (or wait out a live holder, or degrade to
-        // uncoordinated on lease I/O failure).
-        let mut holds_lease = false;
-        if let (Some(store), Some(plane)) = (store, plane_ref) {
-            match claim_or_wait(plane, store, hash, plane.ttl(estimator_ref)) {
-                ClaimResult::Resolved(report) => {
-                    progress_ref.cell_done(&cell.label);
-                    return Ok(CellDone {
-                        report: *report,
-                        store_failure: None,
-                        waited: true,
-                    });
-                }
-                ClaimResult::Claimed => holds_lease = true,
-                ClaimResult::Uncoordinated => {}
-            }
-            plane.journal.record(
-                EventKind::Claim,
-                &plane.grid,
-                hash,
-                0,
-                0.0,
-                "",
-                if holds_lease { "" } else { "uncoordinated" },
-            );
-        }
-
-        let token = mix64(hash.as_bytes());
-        let mut attempt: u32 = 0;
-        let simulated = loop {
-            let attempt_started = Instant::now();
-            let outcome = runners_ref.run(
-                Attempt {
-                    cell: cell.clone(),
-                    hash: hash.to_string(),
-                    attempt,
-                    faults: opts.faults.clone(),
-                },
-                estimator_ref.deadline(),
-            );
-            match outcome {
-                Ok(report) => {
-                    let wall = attempt_started.elapsed().as_secs_f64();
-                    estimator_ref.record(wall);
-                    progress_ref.cell_done(&cell.label);
-                    break Ok((report, wall));
-                }
-                Err((kind, error)) => {
-                    progress_ref.cell_failed(&cell.label, attempt, &error);
-                    if attempt >= opts.retry.max_retries {
-                        break Err(CellFailure {
-                            index: i,
-                            label: cell.label.clone(),
-                            hash: hash.to_string(),
-                            kind,
-                            attempts: attempt + 1,
-                            error,
-                        });
-                    }
-                    opts.retry.sleep_before_retry(attempt, token);
-                    attempt += 1;
-                }
-            }
-        };
-
-        let out = match simulated {
-            Ok((report, wall)) => {
-                let mut store_failure = None;
-                if let Some(store) = store {
-                    match put_with_retry(store, hash, cell, &report, &opts.retry) {
-                        Ok(checksum) => {
-                            store.record_wall(hash, wall);
-                            if let Some(plane) = plane_ref {
-                                plane.journal.record(
-                                    EventKind::Complete,
-                                    &plane.grid,
-                                    hash,
-                                    attempt,
-                                    wall,
-                                    &checksum,
-                                    "",
-                                );
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "chronus-grid: failed to persist cell {hash} to {}: {e}",
-                                store.dir().display()
-                            );
-                            if let Some(plane) = plane_ref {
-                                plane.journal.record(
-                                    EventKind::Fail,
-                                    &plane.grid,
-                                    hash,
-                                    attempt,
-                                    wall,
-                                    "",
-                                    &format!("store-write: {e}"),
-                                );
-                            }
-                            store_failure = Some(CellFailure {
-                                index: i,
-                                label: cell.label.clone(),
-                                hash: hash.to_string(),
-                                kind: FailureKind::StoreWrite,
-                                attempts: opts.retry.attempts(),
-                                error: e.to_string(),
-                            });
-                        }
-                    }
-                }
-                Ok(CellDone {
-                    report,
-                    store_failure,
-                    waited: false,
-                })
-            }
-            Err(failure) => {
-                if let Some(plane) = plane_ref {
-                    plane.journal.record(
-                        EventKind::Fail,
-                        &plane.grid,
-                        hash,
-                        failure.attempts,
-                        0.0,
-                        "",
-                        &format!("{:?}: {}", failure.kind, failure.error),
-                    );
-                }
-                Err(failure)
-            }
-        };
-        if holds_lease {
-            if let Some(plane) = plane_ref {
-                plane.release(hash);
-            }
-        }
-        out
+    let groups = cohort_groups(&spec.cells, &owned);
+    let exec = GroupExec {
+        cells: &spec.cells,
+        hashes: &hashes,
+        store,
+        plane: plane.as_deref(),
+        opts,
+        estimator: &estimator,
+        runners: &runners,
+        progress: &progress,
+    };
+    let exec_ref = &exec;
+    let groups_ref = &groups;
+    let worker_results = try_run_parallel((0..groups.len()).collect(), opts.threads, move |g| {
+        exec_ref.run_group(&groups_ref[g])
     });
 
     runners.shutdown();
@@ -862,41 +906,47 @@ pub fn run_grid_coordinated(
         let _ = handle.join();
     }
 
-    // Fan-out and accounting. Worker-level panics (outside the per-cell
-    // guard) are demoted to cell failures too: one bad worker must never
+    // Fan-out and accounting. Worker-level panics (outside the per-attempt
+    // guard) fail every member of the group: one bad worker must never
     // take the grid down.
     let mut failures: Vec<CellFailure> = Vec::new();
-    for (&i, result) in owned_indices.iter().zip(worker_results) {
-        let hash = hashes[i].as_str();
-        let indices = &by_hash[hash];
-        let flattened = match result {
-            Ok(done) => done,
-            Err(panic_msg) => Err(CellFailure {
-                index: i,
-                label: spec.cells[i].label.clone(),
-                hash: hash.to_string(),
-                kind: FailureKind::Panic,
-                attempts: 1,
-                error: format!("worker thread panicked: {panic_msg}"),
-            }),
-        };
-        match flattened {
-            Ok(done) => {
-                if done.waited {
-                    stats.waited += indices.len();
-                } else {
-                    stats.simulated += indices.len();
+    for (members, result) in groups.iter().zip(worker_results) {
+        let outcomes = result.unwrap_or_else(|panic_msg| {
+            members
+                .iter()
+                .map(|&i| {
+                    let failure = CellFailure {
+                        index: i,
+                        label: spec.cells[i].label.clone(),
+                        hash: hashes[i].clone(),
+                        kind: FailureKind::Panic,
+                        attempts: 1,
+                        error: format!("worker thread panicked: {panic_msg}"),
+                    };
+                    (i, Err(failure))
+                })
+                .collect()
+        });
+        for (i, outcome) in outcomes {
+            let indices = &by_hash[hashes[i].as_str()];
+            match outcome {
+                Ok(done) => {
+                    if done.waited {
+                        stats.waited += indices.len();
+                    } else {
+                        stats.simulated += indices.len();
+                    }
+                    if let Some(failure) = done.store_failure {
+                        failures.push(failure);
+                    }
+                    for &j in indices {
+                        reports[j] = Some(done.report.clone());
+                    }
                 }
-                if let Some(failure) = done.store_failure {
+                Err(failure) => {
+                    stats.failed += indices.len();
                     failures.push(failure);
                 }
-                for &j in indices {
-                    reports[j] = Some(done.report.clone());
-                }
-            }
-            Err(failure) => {
-                stats.failed += indices.len();
-                failures.push(failure);
             }
         }
     }
@@ -926,7 +976,7 @@ pub fn run_grid_coordinated(
 /// store lock. Prior failures whose cells now verify in the store are
 /// dropped (any shard's rerun heals them); failures re-observed this run
 /// replace their prior record; an empty result removes the manifest.
-pub(crate) fn update_manifest(
+fn update_manifest(
     store: &ResultStore,
     spec: &GridSpec,
     shard: &Shard,
@@ -1085,7 +1135,7 @@ mod tests {
     fn runners_are_reused_after_panics_and_abandoned_after_timeouts() {
         let cell = tiny_spec().cells[2].clone();
         let attempt = |plan: Option<&str>| Attempt {
-            cell: cell.clone(),
+            cells: vec![cell.clone()],
             hash: "runner-test".to_string(),
             attempt: 0,
             faults: plan.map(|p| FaultPlan::parse(p).unwrap().injector()),
@@ -1109,6 +1159,94 @@ mod tests {
         );
         assert_eq!(idle(&pool), 1);
         pool.shutdown();
+    }
+
+    /// Four oracle-only VRD variants of one workload (one cohort), two
+    /// Chronus cells whose N_RH is consumed (a cohort each), and one cell
+    /// of another workload.
+    fn cohort_spec() -> GridSpec {
+        let mcf = WorkloadSpec::Apps {
+            apps: vec![AppTrace::new("429.mcf", 0, 42)],
+            trace_instructions: 3_000,
+        };
+        let mut spec = GridSpec::new("cohorts");
+        let mut cfg = SimConfig::single_core();
+        cfg.instructions_per_core = 2_000;
+        cfg.oracle = true;
+        for (nrh, seed) in [(1024u32, 1u64), (1024, 2), (512, 1), (256, 3)] {
+            let mut vrd = cfg.clone();
+            vrd.nrh = nrh;
+            vrd.vrd = Some(chronus_sim::VrdSpec { min_pct: 50, seed });
+            spec.push(CellSpec::new(format!("vrd#{seed}@{nrh}"), mcf.clone(), vrd));
+        }
+        for nrh in [64u32, 32] {
+            let mut chronus = cfg.clone();
+            chronus.mechanism = chronus_core::MechanismKind::Chronus;
+            chronus.nrh = nrh;
+            spec.push(CellSpec::new(
+                format!("chronus@{nrh}"),
+                mcf.clone(),
+                chronus,
+            ));
+        }
+        let povray = WorkloadSpec::Apps {
+            apps: vec![AppTrace::new("511.povray", 0, 7)],
+            trace_instructions: 3_000,
+        };
+        spec.push(CellSpec::new("povray", povray, cfg));
+        spec
+    }
+
+    #[test]
+    fn mixed_workloads_split_into_groups() {
+        let spec = cohort_spec();
+        let all: Vec<usize> = (0..spec.len()).collect();
+        assert_eq!(
+            cohort_groups(&spec.cells, &all),
+            vec![vec![0, 1, 2, 3], vec![4], vec![5], vec![6]]
+        );
+
+        let opts = ExecOpts {
+            threads: 2,
+            progress: false,
+            ..ExecOpts::default()
+        };
+        let out = run_grid(&spec, None, &opts);
+        assert!(out.is_complete() && !out.is_degraded());
+        assert_eq!(out.stats.simulated, 7);
+        for (cell, report) in spec.cells.iter().zip(&out.reports) {
+            assert_eq!(
+                report.as_ref(),
+                Some(&simulate_cell(cell)),
+                "{}",
+                cell.label
+            );
+        }
+    }
+
+    #[test]
+    fn released_lease_is_neither_refreshed_back_nor_reported_lost() {
+        let dir = scratch("heartbeat");
+        let store = ResultStore::open(&dir).unwrap();
+        let plane = CoordPlane::open(&store, "g", &ExecOpts::default()).unwrap();
+        let ttl = Duration::from_secs(30);
+        let hash = "ab".repeat(16);
+        let claimed = plane.leases.try_claim(&hash, ttl).unwrap();
+        assert!(matches!(claimed, ClaimOutcome::Claimed));
+        plane.register(&hash);
+        assert!(!plane.refresh(&hash, ttl), "a held lease refreshes");
+
+        // The heartbeat's snapshot still lists the hash when the worker
+        // releases it; the refresh that follows must see the release.
+        plane.release(&hash);
+        assert!(!plane.refresh(&hash, ttl), "a release is not a lost lease");
+        assert!(
+            !plane.leases.lease_path(&hash).exists(),
+            "a refresh must not bring a released lease back"
+        );
+        assert_eq!(plane.refresh_active(&DeadlineEstimator::new(None)), 0);
+        drop(plane);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

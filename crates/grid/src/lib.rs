@@ -39,7 +39,6 @@
 //! assert!(outcome.is_complete());
 //! ```
 
-pub mod batch;
 pub mod cell;
 pub mod doctor;
 pub mod exec;
@@ -53,12 +52,11 @@ pub mod shard;
 pub mod spec;
 pub mod store;
 
-pub use batch::{run_grid_batched, BatchSpec};
 pub use cell::{AppTrace, AttackSpec, CellKey, CellSpec, WorkloadSpec, SIM_VERSION};
 pub use doctor::{run_doctor, DoctorReport};
 pub use exec::{
-    merge, run_grid, run_grid_coordinated, simulate_cell, CellFailure, CoordOpts, ExecOpts,
-    ExecStats, FailureKind, FailureManifest, GridOutcome, DEGRADED_EXIT,
+    merge, run_grid, simulate_cell, CellFailure, ExecOpts, ExecStats, FailureKind, FailureManifest,
+    GridOutcome, DEGRADED_EXIT,
 };
 pub use faults::{ExecFault, FaultInjector, FaultPlan, FAULTS_ENV};
 pub use hash::cell_hash;

@@ -1,21 +1,22 @@
 //! Acceptance test for cross-process coordination: two executors racing
 //! on one store complete the grid with **zero duplicated simulations**
-//! (journal-verified) and leave the store byte-identical to a solo run.
+//! (journal-verified) and leave the store byte-identical to a solo run —
+//! for single cells and for a cohort group whose members the two executors
+//! split between them.
 //!
 //! The two executors run as threads, but each opens its own `ResultStore`
-//! and `CoordOpts` holder — exactly the state two separate processes
+//! and `ExecOpts::holder` — exactly the state two separate processes
 //! would hold; leases and the journal are the only coordination channel.
 
 use std::path::PathBuf;
-use std::sync::Barrier;
+use std::sync::{mpsc, Barrier};
 use std::time::Duration;
 
 use chronus_core::MechanismKind;
 use chronus_grid::{
-    run_grid_coordinated, AppTrace, CellSpec, CoordOpts, EventKind, ExecOpts, GridSpec,
-    ResultStore, WorkloadSpec,
+    run_grid, AppTrace, CellSpec, EventKind, ExecOpts, GridSpec, ResultStore, WorkloadSpec,
 };
-use chronus_sim::SimConfig;
+use chronus_sim::{SimConfig, VrdSpec};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("chronus-grid-conc-{tag}-{}", std::process::id()));
@@ -44,35 +45,70 @@ fn sample_grid() -> GridSpec {
     spec
 }
 
-fn opts() -> ExecOpts {
+fn opts(holder: &str) -> ExecOpts {
     ExecOpts {
         threads: 2,
         progress: false,
+        holder: Some(holder.to_string()),
+        lease_ttl: Some(Duration::from_secs(30)),
         ..ExecOpts::default()
     }
 }
 
-fn coord(holder: &str) -> CoordOpts {
-    CoordOpts {
-        holder: Some(holder.to_string()),
-        lease_ttl: Some(Duration::from_secs(30)),
-        ..CoordOpts::default()
+/// An 8-member VRD cohort: oracle-only variants of one workload, which
+/// the executor runs as one group.
+fn vrd_cohort() -> GridSpec {
+    let mut spec = GridSpec::new("conc-cohort");
+    let workload = WorkloadSpec::Apps {
+        apps: vec![AppTrace::new("429.mcf", 0, 42)],
+        trace_instructions: 2_400,
+    };
+    for seed in 1..=8u64 {
+        let mut cfg = SimConfig::single_core();
+        cfg.instructions_per_core = 2_000;
+        cfg.oracle = true;
+        cfg.vrd = Some(VrdSpec { min_pct: 50, seed });
+        cfg.max_mem_cycles = 1 << 22;
+        spec.push(CellSpec::new(format!("vrd#{seed}"), workload.clone(), cfg));
     }
+    spec
 }
 
 #[test]
 fn racing_executors_never_duplicate_work() {
-    let spec = sample_grid();
+    assert_race_is_exact(sample_grid(), "race");
+}
+
+#[test]
+fn racing_executors_split_a_cohort_group_without_deadlock() {
+    // A deadlock would hang the race; bound it instead.
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        assert_race_is_exact(vrd_cohort(), "cohort");
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(300)) {
+        Ok(()) => {}
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("racing executors deadlocked"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("the race failed (see above)"),
+    }
+}
+
+/// Fills `spec` solo, then with two executors racing on one shared store,
+/// and checks that the race simulated every cell exactly once and left a
+/// store byte-identical to the solo fill.
+fn assert_race_is_exact(spec: GridSpec, tag: &str) {
+    let cells = spec.len();
 
     // Solo reference run for byte-identity.
-    let dir_solo = scratch("solo");
+    let dir_solo = scratch(&format!("{tag}-solo"));
     let store_solo = ResultStore::open(&dir_solo).unwrap();
-    let solo = run_grid_coordinated(&spec, Some(&store_solo), &opts(), &coord("solo-1-1"));
+    let solo = run_grid(&spec, Some(&store_solo), &opts("solo-1-1"));
     assert!(solo.is_complete() && !solo.is_degraded());
-    assert_eq!(solo.stats.simulated, 4);
+    assert_eq!(solo.stats.simulated, cells);
 
     // Two executors racing on one shared store.
-    let dir = scratch("race");
+    let dir = scratch(tag);
     let start = Barrier::new(2);
     let (a, b) = std::thread::scope(|scope| {
         let run = |holder: &'static str| {
@@ -82,7 +118,7 @@ fn racing_executors_never_duplicate_work() {
             scope.spawn(move || {
                 let store = ResultStore::open(dir).unwrap();
                 start.wait();
-                run_grid_coordinated(spec, Some(&store), &opts(), &coord(holder))
+                run_grid(spec, Some(&store), &opts(holder))
             })
         };
         let a = run("host-1-a");
@@ -100,7 +136,7 @@ fn racing_executors_never_duplicate_work() {
     // resolved from the cache or by waiting on the other holder's lease.
     assert_eq!(
         a.stats.simulated + b.stats.simulated,
-        4,
+        cells,
         "duplicated or lost work: a={:?} b={:?}",
         a.stats,
         b.stats
@@ -108,7 +144,7 @@ fn racing_executors_never_duplicate_work() {
     for stats in [&a.stats, &b.stats] {
         assert_eq!(
             stats.cached + stats.waited + stats.simulated,
-            4,
+            cells,
             "{stats:?}"
         );
         assert_eq!(stats.failed, 0);
@@ -123,11 +159,15 @@ fn racing_executors_never_duplicate_work() {
         .filter(|e| e.kind == EventKind::Complete)
         .map(|e| e.hash.as_str())
         .collect();
-    assert_eq!(completes.len(), 4, "one Complete per distinct simulation");
+    assert_eq!(
+        completes.len(),
+        cells,
+        "one Complete per distinct simulation"
+    );
     let mut unique = completes.clone();
     unique.sort_unstable();
     unique.dedup();
-    assert_eq!(unique.len(), 4, "no hash completed twice");
+    assert_eq!(unique.len(), cells, "no hash completed twice");
 
     // The racing store's entries are byte-identical to the solo run's.
     let store = ResultStore::open(&dir).unwrap();

@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use chronus_core::MechanismKind;
 use chronus_grid::{
-    run_doctor, run_grid_coordinated, AppTrace, CellSpec, CoordOpts, EventKind, ExecOpts, GridSpec,
-    Journal, LeaseInfo, ResultStore, WorkloadSpec,
+    run_doctor, run_grid, AppTrace, CellSpec, EventKind, ExecOpts, GridSpec, Journal, LeaseInfo,
+    ResultStore, WorkloadSpec,
 };
 use chronus_sim::SimConfig;
 
@@ -72,7 +72,7 @@ fn doctor_heals_a_crashed_store_and_the_rerun_completes() {
     let store = ResultStore::open(&dir).unwrap();
 
     // A healthy first run populates the store and journal.
-    let first = run_grid_coordinated(&spec, Some(&store), &opts(), &CoordOpts::default());
+    let first = run_grid(&spec, Some(&store), &opts());
     assert!(first.is_complete() && !first.is_degraded());
 
     // Fabricate the debris a kill -9 leaves behind.
@@ -123,7 +123,7 @@ fn doctor_heals_a_crashed_store_and_the_rerun_completes() {
     assert!(dir.join("quarantine/failures/doc-sample.json").exists());
 
     // The rerun completes 100% clean from the cache.
-    let rerun = run_grid_coordinated(&spec, Some(&store), &opts(), &CoordOpts::default());
+    let rerun = run_grid(&spec, Some(&store), &opts());
     assert!(rerun.is_complete() && !rerun.is_degraded());
     assert_eq!(rerun.stats.cached, 4);
     assert_eq!(rerun.stats.simulated, 0);
@@ -142,7 +142,7 @@ fn doctor_flags_a_diverged_entry_as_unhealable() {
     let spec = sample_grid();
     let dir = scratch("diverge");
     let store = ResultStore::open(&dir).unwrap();
-    let out = run_grid_coordinated(&spec, Some(&store), &opts(), &CoordOpts::default());
+    let out = run_grid(&spec, Some(&store), &opts());
     assert!(out.is_complete());
 
     // Journal a Complete whose checksum contradicts the verified entry —
@@ -178,11 +178,11 @@ fn executor_reclaims_stale_leases_on_open() {
     plant_stale_lease(&dir, &hash);
 
     let store = ResultStore::open(&dir).unwrap();
-    let coord = CoordOpts {
+    let opts = ExecOpts {
         lease_ttl: Some(Duration::from_secs(30)),
-        ..CoordOpts::default()
+        ..opts()
     };
-    let out = run_grid_coordinated(&spec, Some(&store), &opts(), &coord);
+    let out = run_grid(&spec, Some(&store), &opts);
     assert!(out.is_complete() && !out.is_degraded());
     assert_eq!(out.stats.simulated, 4, "the stale lease must not block");
     assert!(

@@ -56,6 +56,7 @@ fn opts(retry: RetryPolicy, faults: Option<FaultPlan>) -> ExecOpts {
         retry,
         cell_timeout: None,
         faults: faults.map(FaultPlan::injector),
+        ..ExecOpts::default()
     }
 }
 

@@ -131,6 +131,24 @@ impl SimConfig {
             },
         }
     }
+
+    /// This configuration with every timing-inert field canonicalized
+    /// away: the VRD distribution, the seed of a seed-insensitive
+    /// mechanism, and `nrh` when no mechanism consumes it (it then reaches
+    /// only the oracle and the report). Configurations with equal keys
+    /// simulate bit-identical timing, so [`crate::System::run_batch`] runs
+    /// them as one lockstep cohort.
+    pub fn cohort_key(&self) -> SimConfig {
+        let mut key = self.clone();
+        key.vrd = None;
+        if !key.mechanism.uses_seed() {
+            key.seed = 0;
+        }
+        if key.mechanism == MechanismKind::None {
+            key.nrh = 0;
+        }
+        key
+    }
 }
 
 #[cfg(test)]
@@ -152,6 +170,26 @@ mod tests {
         let c = SimConfig::eight_core_large_llc();
         assert_eq!(c.num_cores, 8);
         assert_eq!(c.llc.capacity, 36 << 20);
+    }
+
+    #[test]
+    fn cohort_key_ignores_only_timing_inert_fields() {
+        let base = SimConfig::single_core();
+        let mut vrd = base.clone();
+        vrd.vrd = Some(VrdSpec {
+            min_pct: 50,
+            seed: 3,
+        });
+        vrd.seed = 9;
+        vrd.nrh = 64;
+        assert_eq!(vrd.cohort_key(), base.cohort_key());
+
+        let mut chronus = base.clone();
+        chronus.mechanism = MechanismKind::Chronus;
+        let mut lower = chronus.clone();
+        lower.nrh = 64;
+        assert_ne!(lower.cohort_key(), chronus.cohort_key(), "N_RH is consumed");
+        assert_ne!(chronus.cohort_key(), base.cohort_key());
     }
 
     #[test]

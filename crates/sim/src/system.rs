@@ -334,10 +334,10 @@ impl System {
     /// lockstep where possible, and returns one [`SimReport`] per variant,
     /// each bit-identical to what its solo [`System::run`] would produce.
     ///
-    /// The engine partitions the variants into *timing cohorts*. The
-    /// disturbance oracle is strictly observational (no hook affects a
-    /// timing frontier), so variants that differ only in oracle-visible
-    /// parameters — the VRD distribution (`vrd`), the seed of a
+    /// The engine partitions the variants into *timing cohorts*, one per
+    /// distinct [`SimConfig::cohort_key`]. The disturbance oracle is
+    /// strictly observational (no hook affects a timing frontier), so
+    /// variants that differ only in oracle-visible parameters — the VRD distribution (`vrd`), the seed of a
     /// seed-insensitive mechanism, or `nrh` under the unmitigated baseline
     /// — share one simulation: the cohort runs once with a multi-lane
     /// [`DisturbOracle`] (one threshold-model lane per member) and each
@@ -364,24 +364,10 @@ impl System {
                 "every batch member must run the shared workload"
             );
         }
-        // The cohort key is the config with every timing-inert field
-        // canonicalized away; equal keys ⇒ bit-identical timing.
-        let cohort_key = |cfg: &SimConfig| {
-            let mut key = cfg.clone();
-            key.vrd = None;
-            if !key.mechanism.uses_seed() {
-                key.seed = 0;
-            }
-            if key.mechanism == MechanismKind::None {
-                // No mechanism consumes the threshold: nrh only reaches
-                // the oracle (a lane) and the report (patched below).
-                key.nrh = 0;
-            }
-            key
-        };
+        // Equal cohort keys ⇒ bit-identical timing.
         let mut cohorts: Vec<(SimConfig, Vec<usize>)> = Vec::new();
         for (i, cfg) in cfgs.iter().enumerate() {
-            let key = cohort_key(cfg);
+            let key = cfg.cohort_key();
             match cohorts.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, members)) => members.push(i),
                 None => cohorts.push((key, vec![i])),

@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use chronus_bench::runs::{sweep_mixes, sweep_single_core};
-use chronus_bench::HarnessOpts;
+use chronus_bench::{AppSweep, Executor, HarnessOpts, MixSweep, Runner, SweepRow};
 use chronus_core::MechanismKind;
 use chronus_security::sweep::{fig3a, fig3b};
 use chronus_security::wave::WaveTiming;
@@ -23,6 +22,13 @@ fn tiny_opts() -> HarnessOpts {
         quiet: true,
         ..HarnessOpts::default()
     }
+}
+
+/// Executes a mix sweep without the result store.
+fn sweep_mixes(mechs: &[MechanismKind], nrh_list: &[u32], opts: &HarnessOpts) -> Vec<SweepRow> {
+    let sweep = MixSweep::build("mix-sweep", mechs, nrh_list, opts, &|_| {});
+    let mut runner = Runner::new(opts).expect("no store to open");
+    sweep.rows(&runner.execute(&sweep.spec))
 }
 
 fn smoke_fig3(c: &mut Criterion) {
@@ -76,7 +82,19 @@ fn smoke_fig14(c: &mut Criterion) {
     g.bench_function("one_app", |b| {
         let opts = tiny_opts();
         let apps = &eight_core_spec17_profiles()[..1];
-        b.iter(|| sweep_single_core(apps, &[MechanismKind::Prac4], &[1024], &opts, 8, true))
+        let sweep = AppSweep::build(
+            "app-sweep",
+            apps,
+            &[MechanismKind::Prac4],
+            &[1024],
+            &opts,
+            8,
+            true,
+        );
+        b.iter(|| {
+            let mut runner = Runner::new(&opts).expect("no store to open");
+            sweep.rows(&runner.execute(&sweep.spec))
+        })
     });
     g.finish();
 }

@@ -1,26 +1,27 @@
-//! `chronus-sweep` — the experiment-grid console.
+//! The experiment-grid console: `chronus list|run|status|merge|fsck|gc|doctor`.
 //!
 //! ```text
-//! chronus-sweep list   [grid]   [flags]   show grids, or one grid's cells
-//! chronus-sweep run    <grid|all> [flags] execute (respects --shard i/N)
-//! chronus-sweep status <grid|all> [flags] cache accounting, no simulation
-//! chronus-sweep merge  <grid> [flags]     assemble a complete grid from
-//!                                         the store (--out FILE for JSON)
-//! chronus-sweep fsck   [flags]            verify every store entry;
-//!                                         quarantine corrupt ones
-//! chronus-sweep gc     [flags]            drop store entries no current
-//!                                         grid references
-//! chronus-sweep doctor [flags]            crash recovery: reclaim stale
-//!                                         leases, fsck, replay journal
+//! chronus list   [grid]   [flags]   show grids, or one grid's cells
+//! chronus run    <grid|all> [flags] execute (respects --shard i/N)
+//! chronus status <grid|all> [flags] cache accounting, no simulation
+//! chronus merge  <grid> [flags]     assemble a complete grid from
+//!                                   the store (--out FILE for JSON)
+//! chronus fsck   [flags]            verify every store entry;
+//!                                   quarantine corrupt ones
+//! chronus gc     [flags]            drop store entries no current
+//!                                   grid references
+//! chronus doctor [flags]            crash recovery: reclaim stale
+//!                                   leases, fsck, replay journal
 //! ```
 //!
-//! Exit codes: `0` clean, `2` usage error, `3` degraded — `run` with
-//! permanently failed cells, `status`/`merge` over corrupt or failed
-//! entries, `fsck` that quarantined anything, `doctor` over a store it
-//! could not fully reconcile (a verified entry whose checksum contradicts
-//! its journaled `Complete`). Quarantined cells re-enter the grid as plain
-//! cache misses: the next `run` re-simulates them; `doctor`-reported
-//! interrupted/missing cells likewise heal on the next `run`.
+//! Exit codes: `0` clean, `2` usage error (including an unopenable
+//! `--grid-dir`), `3` degraded — `run` with permanently failed cells,
+//! `status`/`merge` over corrupt or failed entries, `fsck` that
+//! quarantined anything, `doctor` over a store it could not fully
+//! reconcile (a verified entry whose checksum contradicts its journaled
+//! `Complete`). Quarantined cells re-enter the grid as plain cache misses:
+//! the next `run` re-simulates them; `doctor`-reported interrupted/missing
+//! cells likewise heal on the next `run`.
 //!
 //! Flags are the shared harness flags (`--instructions`, `--mixes`,
 //! `--seed`, `--nrh`, `--threads`, `--shard`, `--grid-dir`, `--no-cache`,
@@ -30,41 +31,30 @@
 //! The two-machine workflow:
 //!
 //! ```text
-//! machine A$ chronus-sweep run fig8 --shard 1/2 --grid-dir store
-//! machine B$ chronus-sweep run fig8 --shard 2/2 --grid-dir store
+//! machine A$ chronus run fig8 --shard 1/2 --grid-dir store
+//! machine B$ chronus run fig8 --shard 2/2 --grid-dir store
 //! # copy store/ together (files are content-addressed; union is safe)
-//! machine A$ chronus-sweep merge fig8 --grid-dir store --out fig8.json
+//! machine A$ chronus merge fig8 --grid-dir store --out fig8.json
 //! ```
 
 use std::collections::HashSet;
 
 use chronus_bench::grids::{build_spec, GRID_NAMES};
-use chronus_bench::opts::{HarnessOpts, ParseOutcome, VALUELESS_FLAGS};
+use chronus_bench::opts::{HarnessOpts, VALUELESS_FLAGS};
+use chronus_bench::runs::{exec_opts, open_store};
 use chronus_bench::{format_table, write_json};
-use chronus_grid::{merge, run_doctor, run_grid, EntryState, GridSpec, ResultStore, DEGRADED_EXIT};
+use chronus_grid::{merge, run_doctor, run_grid, EntryState, GridSpec, ResultStore};
 
-fn usage() -> String {
-    format!(
-        "chronus-sweep: experiment-grid console \
-         (list | run | status | merge | fsck | gc | doctor)\n\
-         grids: {}  (or 'all')\n{}",
-        GRID_NAMES.join(" "),
-        HarnessOpts::usage("chronus-sweep")
-    )
-}
+use crate::{exit_code, fail, parse, usage};
 
-fn fail(msg: &str) -> ! {
-    eprintln!("chronus-sweep: {msg}");
-    eprintln!("try --help");
-    std::process::exit(2);
-}
-
-fn main() {
-    // Positionals (subcommand, grid) come first; everything else is the
-    // shared flag set.
+/// Runs a console command; `args` holds the command among the flags
+/// (`list` when there is none). Returns the exit code.
+pub fn main(args: Vec<String>) -> i32 {
+    // Positionals (subcommand, grid) may sit anywhere among the shared
+    // flags.
     let mut positional = Vec::new();
     let mut flags = Vec::new();
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         if a.starts_with('-') {
             flags.push(a.clone());
@@ -78,18 +68,11 @@ fn main() {
             positional.push(a);
         }
     }
-    let opts = match HarnessOpts::parse_from(flags) {
-        Ok(o) => o,
-        Err(ParseOutcome::Help) => {
-            eprintln!("{}", usage());
-            std::process::exit(0);
-        }
-        Err(ParseOutcome::Invalid(msg)) => fail(&msg),
-    };
+    let opts = parse(usage, flags);
     let command = positional.first().map(String::as_str).unwrap_or("list");
     let grid_arg = positional.get(1).map(String::as_str);
 
-    match command {
+    exit_code(match command {
         "list" => list(grid_arg, &opts),
         "run" => run(grid_arg, &opts),
         "status" => status(grid_arg, &opts),
@@ -98,11 +81,11 @@ fn main() {
         "gc" => gc(&opts),
         "doctor" => doctor(&opts),
         other => fail(&format!("unknown command '{other}'")),
-    }
+    })
 }
 
 fn store_of(opts: &HarnessOpts) -> ResultStore {
-    chronus_bench::runs::open_store(opts)
+    open_store(opts).unwrap_or_else(|e| fail(&e))
 }
 
 /// Resolves `all` / a name / `None` into specs.
@@ -122,7 +105,7 @@ fn specs_for(grid_arg: Option<&str>, opts: &HarnessOpts) -> Vec<GridSpec> {
     }
 }
 
-fn list(grid_arg: Option<&str>, opts: &HarnessOpts) {
+fn list(grid_arg: Option<&str>, opts: &HarnessOpts) -> bool {
     let store = store_of(opts);
     match grid_arg {
         None | Some("all") => {
@@ -165,16 +148,17 @@ fn list(grid_arg: Option<&str>, opts: &HarnessOpts) {
             );
         }
     }
+    false
 }
 
-fn run(grid_arg: Option<&str>, opts: &HarnessOpts) {
+fn run(grid_arg: Option<&str>, opts: &HarnessOpts) -> bool {
     let store = (!opts.no_cache).then(|| store_of(opts));
-    let exec = chronus_bench::runs::exec_opts(opts);
+    let exec = exec_opts(opts).unwrap_or_else(|e| fail(&e));
     let mut degraded = false;
     for spec in specs_for(grid_arg, opts) {
         let outcome = run_grid(&spec, store.as_ref(), &exec);
         println!(
-            "chronus-sweep: grid={} shard={} {} wall={:.1}s",
+            "chronus: grid={} shard={} {} wall={:.1}s",
             spec.name,
             opts.shard,
             outcome.stats.summary(),
@@ -184,7 +168,7 @@ fn run(grid_arg: Option<&str>, opts: &HarnessOpts) {
             degraded = true;
             for f in &outcome.failures {
                 println!(
-                    "chronus-sweep: grid={} FAILED cell #{} '{}' ({:?} after {} attempt(s)): {}",
+                    "chronus: grid={} FAILED cell #{} '{}' ({:?} after {} attempt(s)): {}",
                     spec.name, f.index, f.label, f.kind, f.attempts, f.error
                 );
             }
@@ -192,14 +176,14 @@ fn run(grid_arg: Option<&str>, opts: &HarnessOpts) {
     }
     if degraded {
         eprintln!(
-            "chronus-sweep: run degraded — rerun the same command to retry failed cells \
+            "chronus: run degraded — rerun the same command to retry failed cells \
              (completed cells replay from the store)"
         );
-        std::process::exit(DEGRADED_EXIT);
     }
+    degraded
 }
 
-fn status(grid_arg: Option<&str>, opts: &HarnessOpts) {
+fn status(grid_arg: Option<&str>, opts: &HarnessOpts) -> bool {
     let store = store_of(opts);
     let recorded = store.recorded_walls();
     let mut degraded = false;
@@ -226,7 +210,7 @@ fn status(grid_arg: Option<&str>, opts: &HarnessOpts) {
             .load_manifest(&spec.name)
             .map_or(0, |m| m.failures.len());
         println!(
-            "chronus-sweep: grid={} cells={} cached={} missing={} corrupt={} failed={}{}",
+            "chronus: grid={} cells={} cached={} missing={} corrupt={} failed={}{}",
             spec.name,
             hashes.len(),
             cached,
@@ -238,8 +222,8 @@ fn status(grid_arg: Option<&str>, opts: &HarnessOpts) {
         if corrupt > 0 {
             degraded = true;
             eprintln!(
-                "chronus-sweep: grid={} has {corrupt} corrupt entries — \
-                 run `chronus-sweep fsck` to quarantine them",
+                "chronus: grid={} has {corrupt} corrupt entries — \
+                 run `chronus fsck` to quarantine them",
                 spec.name
             );
         }
@@ -247,9 +231,7 @@ fn status(grid_arg: Option<&str>, opts: &HarnessOpts) {
             degraded = true;
         }
     }
-    if degraded {
-        std::process::exit(DEGRADED_EXIT);
-    }
+    degraded
 }
 
 /// Formats the per-grid wall-clock summary from the store's wall log
@@ -271,7 +253,7 @@ fn wall_percentiles(walls: &mut [f64]) -> String {
     )
 }
 
-fn merge_cmd(grid_arg: Option<&str>, opts: &HarnessOpts) {
+fn merge_cmd(grid_arg: Option<&str>, opts: &HarnessOpts) -> bool {
     let Some(name) = grid_arg else {
         fail("merge needs a grid name");
     };
@@ -285,7 +267,7 @@ fn merge_cmd(grid_arg: Option<&str>, opts: &HarnessOpts) {
         match merge(&spec, &store) {
             Ok(reports) => {
                 println!(
-                    "chronus-sweep: grid={} merged={} cells from {}",
+                    "chronus: grid={} merged={} cells from {}",
                     spec.name,
                     reports.len(),
                     store.dir().display()
@@ -311,7 +293,7 @@ fn merge_cmd(grid_arg: Option<&str>, opts: &HarnessOpts) {
                 };
                 if !missing.is_empty() {
                     eprintln!(
-                        "chronus-sweep: grid='{}' incomplete: {} of {} cells missing \
+                        "chronus: grid='{}' incomplete: {} of {} cells missing \
                          (first: {}) — run the remaining shards first",
                         spec.name,
                         missing.len(),
@@ -321,8 +303,8 @@ fn merge_cmd(grid_arg: Option<&str>, opts: &HarnessOpts) {
                 }
                 if !corrupt.is_empty() {
                     eprintln!(
-                        "chronus-sweep: grid='{}': {} corrupt entries (first: {}) — \
-                         run `chronus-sweep fsck`, then rerun the grid",
+                        "chronus: grid='{}': {} corrupt entries (first: {}) — \
+                         run `chronus fsck`, then rerun the grid",
                         spec.name,
                         corrupt.len(),
                         preview(&corrupt)
@@ -331,75 +313,71 @@ fn merge_cmd(grid_arg: Option<&str>, opts: &HarnessOpts) {
             }
         }
     }
-    if degraded {
-        std::process::exit(DEGRADED_EXIT);
-    }
+    degraded
 }
 
-fn fsck(opts: &HarnessOpts) {
+fn fsck(opts: &HarnessOpts) -> bool {
     let store = store_of(opts);
     match store.fsck() {
         Ok(report) => {
             println!(
-                "chronus-sweep: fsck {} ({})",
+                "chronus: fsck {} ({})",
                 report.summary(),
                 store.dir().display()
             );
             for (name, issue) in &report.quarantined {
-                println!("chronus-sweep: quarantined {name}: {issue}");
+                println!("chronus: quarantined {name}: {issue}");
             }
             if !report.quarantined.is_empty() {
                 eprintln!(
-                    "chronus-sweep: {} entries moved to {} — the next run re-simulates them",
+                    "chronus: {} entries moved to {} — the next run re-simulates them",
                     report.quarantined.len(),
                     store.quarantine_dir().display()
                 );
-                std::process::exit(DEGRADED_EXIT);
             }
+            !report.quarantined.is_empty()
         }
         Err(e) => fail(&format!("fsck failed: {e}")),
     }
 }
 
-fn doctor(opts: &HarnessOpts) {
+fn doctor(opts: &HarnessOpts) -> bool {
     let store = store_of(opts);
     match run_doctor(&store) {
         Ok(report) => {
             println!(
-                "chronus-sweep: doctor {} ({})",
+                "chronus: doctor {} ({})",
                 report.summary(),
                 store.dir().display()
             );
             for (hash, holder) in &report.reclaimed_leases {
-                println!("chronus-sweep: reclaimed lease {hash} (holder {holder})");
+                println!("chronus: reclaimed lease {hash} (holder {holder})");
             }
             for (name, issue) in &report.fsck.quarantined {
-                println!("chronus-sweep: quarantined {name}: {issue}");
+                println!("chronus: quarantined {name}: {issue}");
             }
             for (name, issue) in &report.fsck.quarantined_manifests {
-                println!("chronus-sweep: quarantined manifest {name}: {issue}");
+                println!("chronus: quarantined manifest {name}: {issue}");
             }
             for hash in &report.interrupted {
-                println!("chronus-sweep: interrupted {hash} — the next run re-simulates it");
+                println!("chronus: interrupted {hash} — the next run re-simulates it");
             }
             for hash in &report.missing_completed {
-                println!("chronus-sweep: missing {hash} — the next run re-simulates it");
+                println!("chronus: missing {hash} — the next run re-simulates it");
             }
             for hash in &report.diverged {
                 eprintln!(
-                    "chronus-sweep: DIVERGED {hash}: verified entry contradicts its \
+                    "chronus: DIVERGED {hash}: verified entry contradicts its \
                      journaled checksum — investigate by hand"
                 );
             }
-            if !report.is_healthy() {
-                std::process::exit(DEGRADED_EXIT);
-            }
+            !report.is_healthy()
         }
         Err(e) => fail(&format!("doctor failed: {e}")),
     }
 }
 
-fn gc(opts: &HarnessOpts) {
+fn gc(opts: &HarnessOpts) -> bool {
     let store = store_of(opts);
     let mut keep: HashSet<String> = HashSet::new();
     for spec in specs_for(Some("all"), opts) {
@@ -407,10 +385,11 @@ fn gc(opts: &HarnessOpts) {
     }
     match store.gc(&keep) {
         Ok(removed) => println!(
-            "chronus-sweep: gc removed {removed} entries from {} ({} kept)",
+            "chronus: gc removed {removed} entries from {} ({} kept)",
             store.dir().display(),
             keep.len()
         ),
         Err(e) => fail(&format!("gc failed: {e}")),
     }
+    false
 }

@@ -1,5 +1,5 @@
-//! Simulator-throughput report: event-driven fast loop vs. the retained
-//! cycle-by-cycle reference loop.
+//! `chronus perf_report` — simulator-throughput report: event-driven fast
+//! loop vs. the retained cycle-by-cycle reference loop.
 //!
 //! Measures simulated-memory-cycles per wall-second on an idle-heavy
 //! single-core workload (`511.povray`, where the fast-forward engine
@@ -8,13 +8,14 @@
 //! writes the machine-readable `BENCH_loop.json`.
 //!
 //! ```text
-//! cargo run --release -p chronus-bench --bin perf_report -- \
+//! cargo run --release -p chronus-bench --bin chronus -- perf_report \
 //!     --instructions 2000000 --out BENCH_loop.json
 //! ```
 
 use std::path::PathBuf;
 use std::time::Instant;
 
+use chronus_bench::opts::{parse_flag, ParseOutcome};
 use chronus_bench::{format_table, write_json};
 use chronus_core::MechanismKind;
 use chronus_cpu::Trace;
@@ -206,31 +207,52 @@ fn measure_batch(insts: u64) -> BatchRow {
     }
 }
 
-fn main() {
-    let mut instructions: u64 = 2_000_000;
-    let mut out: Option<PathBuf> = Some(PathBuf::from("BENCH_loop.json"));
-    let mut args = std::env::args().skip(1);
+/// The flags of `perf_report`.
+#[derive(Debug, PartialEq)]
+struct Flags {
+    /// Instructions of the idle-heavy row (`--instructions N`).
+    instructions: u64,
+    /// Where the JSON report goes (`--out FILE`; `--no-out` for none).
+    out: Option<PathBuf>,
+}
+
+fn parse_flags(args: &[String]) -> Result<Flags, ParseOutcome> {
+    let mut flags = Flags {
+        instructions: 2_000_000,
+        out: Some(PathBuf::from("BENCH_loop.json")),
+    };
+    let mut args = args.iter();
     while let Some(a) = args.next() {
+        let mut value = |name: &str| {
+            args.next()
+                .ok_or_else(|| ParseOutcome::Invalid(format!("{name} requires a value")))
+        };
         match a.as_str() {
             "--instructions" => {
-                instructions = args
-                    .next()
-                    .expect("--instructions requires a value")
-                    .parse()
-                    .expect("int");
+                flags.instructions = parse_flag("--instructions", value("--instructions")?)?
             }
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out requires a value"))),
-            "--no-out" => out = None,
-            "--help" | "-h" => {
-                eprintln!(
-                    "perf_report: fast-loop vs reference-loop throughput.\n\
-                     flags: --instructions N --out FILE --no-out"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag {other}; try --help"),
+            "--out" => flags.out = Some(PathBuf::from(value("--out")?)),
+            "--no-out" => flags.out = None,
+            "--help" | "-h" => return Err(ParseOutcome::Help),
+            other => return Err(ParseOutcome::Invalid(format!("unknown flag '{other}'"))),
         }
     }
+    Ok(flags)
+}
+
+/// Runs the report; returns the exit code.
+pub fn main(args: &[String]) -> i32 {
+    let Flags { instructions, out } = match parse_flags(args) {
+        Ok(flags) => flags,
+        Err(ParseOutcome::Help) => {
+            eprintln!(
+                "chronus perf_report: fast-loop vs reference-loop throughput.\n\
+                 flags: --instructions N --out FILE --no-out"
+            );
+            return 0;
+        }
+        Err(ParseOutcome::Invalid(msg)) => crate::fail(&format!("perf_report: {msg}")),
+    };
 
     // The memory-bound app needs ~20× fewer instructions for similar
     // wall-clock (its IPC is far lower and every access reaches DRAM).
@@ -331,5 +353,44 @@ fn main() {
     );
     if let Some(path) = out {
         write_json(&path, &report);
+    }
+    0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Flags, ParseOutcome> {
+        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parses_its_three_flags() {
+        assert_eq!(
+            parse(&["--instructions", "500000", "--out", "r.json"]).unwrap(),
+            Flags {
+                instructions: 500_000,
+                out: Some(PathBuf::from("r.json")),
+            }
+        );
+        assert_eq!(parse(&["--no-out"]).unwrap().out, None);
+        assert_eq!(parse(&["-h"]).unwrap_err(), ParseOutcome::Help);
+    }
+
+    #[test]
+    fn bad_flags_are_reported_not_panicked() {
+        assert!(matches!(
+            parse(&["--bogus"]),
+            Err(ParseOutcome::Invalid(msg)) if msg.contains("'--bogus'")
+        ));
+        assert!(matches!(
+            parse(&["--instructions", "x"]),
+            Err(ParseOutcome::Invalid(msg)) if msg.contains("--instructions") && msg.contains("'x'")
+        ));
+        assert!(matches!(
+            parse(&["--out"]),
+            Err(ParseOutcome::Invalid(msg)) if msg.contains("--out requires a value")
+        ));
     }
 }

@@ -1,12 +1,13 @@
 //! The named experiment-grid registry.
 //!
 //! Every simulation-driven figure and table is registered here as a
-//! declarative [`GridSpec`] builder, so the `chronus-sweep` CLI can list,
-//! pre-compute, shard, merge and garbage-collect the exact cells the
-//! figure binaries consume. The binaries themselves call the same
-//! builders, which is what makes `chronus-sweep run fig8 --shard 1/2` on
-//! one machine + `--shard 2/2` on another, followed by `fig8` against the
-//! merged store, equivalent to running `fig8` directly.
+//! declarative [`GridSpec`] constructor. [`build_spec`] resolves a name to
+//! its spec for the grid console (`chronus list|run|status|merge|gc`),
+//! and the artefact of that grid (`chronus fig8`, see
+//! [`crate::artefacts`]) calls the same constructor. That is what makes
+//! `chronus run fig8 --shard 1/2` on one machine + `--shard 2/2` on
+//! another, followed by `chronus fig8` against the merged store,
+//! equivalent to running `chronus fig8` directly.
 
 use chronus_core::MechanismKind;
 use chronus_ctrl::AddressMapping;
@@ -19,7 +20,7 @@ use crate::opts::HarnessOpts;
 use crate::runs::{mix_config, AppSweep, MixSweep};
 use crate::tables::geomean;
 
-/// Every registered grid, in `all_figures` order.
+/// Every registered grid, in `chronus run all` order.
 pub const GRID_NAMES: &[&str] = &[
     "fig4",
     "fig7",
@@ -36,70 +37,20 @@ pub const GRID_NAMES: &[&str] = &[
     "smoke",
 ];
 
-/// Builds the spec of a registered grid with the given options, applying
-/// the same per-figure option forcing the binaries apply (e.g. Fig. 7
-/// truncates long N_RH sweeps to {1024, 32}).
+/// Builds the spec of a registered grid with the given options. Each arm
+/// calls the constructor its artefact renders from, so the cells of a
+/// grid are decided in one place (e.g. Fig. 7 truncates long N_RH sweeps
+/// to {1024, 32} in [`fig7_sweep`]).
 ///
 /// Returns `None` for unknown names.
 pub fn build_spec(name: &str, opts: &HarnessOpts) -> Option<GridSpec> {
     let spec = match name {
-        "fig4" => {
-            let mechs = [
-                MechanismKind::Prac4,
-                MechanismKind::Prac2,
-                MechanismKind::Prac1,
-                MechanismKind::PracPrfm,
-                MechanismKind::Prfm,
-            ];
-            MixSweep::build("fig4", &mechs, &opts.nrh_list, opts, &|_| {}).spec
-        }
-        "fig7" => {
-            let nrh = fig7_nrh_list(opts);
-            AppSweep::build(
-                "fig7",
-                &all_profiles(),
-                MechanismKind::headline(),
-                &nrh,
-                opts,
-                1,
-                false,
-            )
-            .spec
-        }
-        "fig8" => {
-            MixSweep::build(
-                "fig8",
-                MechanismKind::headline(),
-                &opts.nrh_list,
-                opts,
-                &|_| {},
-            )
-            .spec
-        }
-        "fig9" => MixSweep::build("fig9", MechanismKind::headline(), &[32], opts, &|_| {}).spec,
-        "fig10" => {
-            MixSweep::build(
-                "fig10",
-                MechanismKind::headline(),
-                &opts.nrh_list,
-                opts,
-                &|_| {},
-            )
-            .spec
-        }
+        "fig4" => fig4_sweep(opts).spec,
+        "fig7" => fig7_sweep(opts).spec,
+        "fig8" | "fig10" => headline_sweep(name, opts).spec,
+        "fig9" => fig9_sweep(opts).spec,
         "fig12" => fig12_sweep(opts).spec,
-        "fig14_15" => {
-            AppSweep::build(
-                "fig14_15",
-                &eight_core_spec17_profiles(),
-                &[MechanismKind::Prac4],
-                &opts.nrh_list,
-                opts,
-                8,
-                true,
-            )
-            .spec
-        }
+        "fig14_15" => fig14_15_sweep(opts).spec,
         "table4" => Table4Grid::build(opts).spec,
         "ablation" => AblationGrid::build(opts).spec,
         "perf_attack" => PerfAttackGrid::build(opts).spec,
@@ -109,6 +60,63 @@ pub fn build_spec(name: &str, opts: &HarnessOpts) -> Option<GridSpec> {
         _ => return None,
     };
     Some(spec)
+}
+
+/// The Fig. 4 sweep: the PRAC and RFM configurations on the mixes.
+pub fn fig4_sweep(opts: &HarnessOpts) -> MixSweep {
+    let mechs = [
+        MechanismKind::Prac4,
+        MechanismKind::Prac2,
+        MechanismKind::Prac1,
+        MechanismKind::PracPrfm,
+        MechanismKind::Prfm,
+    ];
+    MixSweep::build("fig4", &mechs, &opts.nrh_list, opts, &|_| {})
+}
+
+/// The Fig. 7 sweep: the headline mechanisms on single-core copies of
+/// every application, at [`fig7_nrh_list`].
+pub fn fig7_sweep(opts: &HarnessOpts) -> AppSweep {
+    AppSweep::build(
+        "fig7",
+        &all_profiles(),
+        MechanismKind::headline(),
+        &fig7_nrh_list(opts),
+        opts,
+        1,
+        false,
+    )
+}
+
+/// The headline mechanisms across N_RH on the mixes: the grid of Fig. 8
+/// (performance) and, under its own name, Fig. 10 (energy).
+pub fn headline_sweep(name: &str, opts: &HarnessOpts) -> MixSweep {
+    MixSweep::build(
+        name,
+        MechanismKind::headline(),
+        &opts.nrh_list,
+        opts,
+        &|_| {},
+    )
+}
+
+/// The Fig. 9 sweep: the headline mechanisms on the mixes at N_RH = 32.
+pub fn fig9_sweep(opts: &HarnessOpts) -> MixSweep {
+    MixSweep::build("fig9", MechanismKind::headline(), &[32], opts, &|_| {})
+}
+
+/// The Fig. 14/15 sweep: PRAC-4 on eight-core homogeneous SPEC CPU2017
+/// workloads with the large LLC.
+pub fn fig14_15_sweep(opts: &HarnessOpts) -> AppSweep {
+    AppSweep::build(
+        "fig14_15",
+        &eight_core_spec17_profiles(),
+        &[MechanismKind::Prac4],
+        &opts.nrh_list,
+        opts,
+        8,
+        true,
+    )
 }
 
 /// Fig. 7 forces long sweeps down to its two published points.

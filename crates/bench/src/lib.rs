@@ -1,7 +1,18 @@
-//! Benchmark-harness library: shared orchestration for the per-figure
-//! binaries, built on the `chronus-grid` experiment engine.
+//! Benchmark-harness library: every paper artefact, the experiment-grid
+//! registry they render from, and the executor that runs those grids on
+//! the `chronus-grid` engine. The `chronus` binary is a thin command line
+//! over it:
 //!
-//! Every binary accepts the same flags:
+//! ```text
+//! chronus <artefact> [flags]   regenerate one figure or table
+//!                              (fig3 fig4 fig7 … table4 ablation
+//!                              perf_attack leakage_report)
+//! chronus all [--quick] [flags]  every figure and table in sequence
+//! chronus list|run|status|merge|fsck|gc|doctor   the grid console
+//! chronus perf_report          simulator-throughput report
+//! ```
+//!
+//! Artefacts and the grid console accept the same flags:
 //!
 //! ```text
 //! --instructions N   instructions per core         (default 60 000)
@@ -18,17 +29,16 @@
 //!
 //! Paper scale is `--instructions 100000000 --mixes 10`. Completed cells
 //! are cached in the content-addressed result store, so re-running any
-//! binary (or `all_figures`) re-simulates nothing that already finished;
-//! see BENCH_README.md ("Sweeps, sharding and the result cache").
+//! artefact (or `chronus all`) re-simulates nothing that already
+//! finished; see BENCH_README.md ("Sweeps, sharding and the result
+//! cache").
 
+pub mod artefacts;
 pub mod grids;
 pub mod opts;
 pub mod runs;
 pub mod tables;
 
 pub use opts::HarnessOpts;
-pub use runs::{
-    execute, exit_code, finish, mix_traces, run_mix, sweep_mixes, sweep_single_core, AppSweep,
-    MixSweep, SweepRow,
-};
+pub use runs::{AppSweep, Executor, MixSweep, Runner, SweepRow};
 pub use tables::{format_table, geomean, write_json};

@@ -1,4 +1,4 @@
-//! Command-line options shared by all figure binaries.
+//! Command-line options shared by every artefact and the grid console.
 
 use std::path::PathBuf;
 
@@ -77,28 +77,11 @@ pub enum ParseOutcome {
 }
 
 /// The flags of [`HarnessOpts::parse_from`] that take no value argument.
-/// Argument pre-splitters (`chronus-sweep` separates positionals from
+/// Argument pre-splitters (the grid console separates positionals from
 /// flags) consult this so flag arity is defined in exactly one place.
 pub const VALUELESS_FLAGS: &[&str] = &["--no-cache", "--quiet", "--obs", "--help", "-h"];
 
 impl HarnessOpts {
-    /// Parses `std::env::args`, printing usage on `--help` (exit 0) and a
-    /// diagnostic naming the flag and value on malformed input (exit 2).
-    pub fn from_args(tool: &str) -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(o) => o,
-            Err(ParseOutcome::Help) => {
-                eprintln!("{}", Self::usage(tool));
-                std::process::exit(0);
-            }
-            Err(ParseOutcome::Invalid(msg)) => {
-                eprintln!("{tool}: {msg}");
-                eprintln!("try --help");
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// The `--help` text.
     pub fn usage(tool: &str) -> String {
         format!(
@@ -189,7 +172,7 @@ impl HarnessOpts {
 
 /// Parses one flag value, reporting the flag name and offending value on
 /// failure instead of panicking with a bare `expect("int")`.
-fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ParseOutcome>
+pub fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ParseOutcome>
 where
     T::Err: std::fmt::Display,
 {

@@ -6,16 +6,13 @@
 //! invocations complete from the content-addressed result store and
 //! `--shard i/N` splits any figure across processes or machines.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use chronus_core::MechanismKind;
-use chronus_cpu::Trace;
 use chronus_grid::{
     run_grid, AppTrace, CellSpec, ExecOpts, FaultInjector, FaultPlan, GridOutcome, GridSpec,
-    ResultStore, RetryPolicy, WorkloadSpec, DEGRADED_EXIT,
+    ResultStore, RetryPolicy, WorkloadSpec,
 };
-use chronus_sim::{SimConfig, SimReport, System};
-use chronus_workloads::{four_core_mixes, generator::synthetic_from_profile, AppProfile, Mix};
+use chronus_sim::{SimConfig, SimReport};
+use chronus_workloads::{four_core_mixes, AppProfile, Mix};
 use serde::Serialize;
 
 use crate::opts::HarnessOpts;
@@ -42,30 +39,6 @@ pub struct SweepRow {
     pub back_offs: u64,
     /// Preventive victim-row refreshes (VRRs + RFM victims + borrowed).
     pub preventive_rows: u64,
-}
-
-/// Generates the per-core traces of a mix.
-pub fn mix_traces(apps: &[AppProfile], instructions: u64, seed: u64) -> Vec<Trace> {
-    apps.iter()
-        .enumerate()
-        .map(|(i, p)| {
-            synthetic_from_profile(*p, i as u64)
-                .generate(instructions + instructions / 10, seed ^ (i as u64) << 8)
-        })
-        .collect()
-}
-
-/// Runs a mix under one mechanism (direct, uncached; the sweeps go through
-/// the grid instead).
-pub fn run_mix(
-    apps: &[AppProfile],
-    mech: MechanismKind,
-    nrh: u32,
-    opts: &HarnessOpts,
-) -> SimReport {
-    let cfg = mix_config(apps.len(), mech, nrh, opts);
-    let traces = mix_traces(apps, opts.instructions, opts.seed);
-    System::build(&cfg).run(traces)
 }
 
 /// The multi-programmed configuration every mix cell uses.
@@ -110,40 +83,53 @@ pub(crate) fn mix_workload(apps: &[AppProfile], opts: &HarnessOpts) -> WorkloadS
     }
 }
 
-/// Set when any executed grid ended degraded; read by [`exit_code`] so the
-/// process reports [`DEGRADED_EXIT`] no matter how many grids a binary ran
-/// in between.
-static DEGRADED: AtomicBool = AtomicBool::new(false);
-
-/// Parses `CHRONUS_FAULTS` into an injector. A malformed spec is a usage
-/// error (exit 2) — silently running *without* the faults the user asked
-/// for would invalidate whatever they were testing.
-pub fn env_faults(tool: &str) -> Option<FaultInjector> {
+/// Parses `CHRONUS_FAULTS` into an injector.
+///
+/// # Errors
+///
+/// A malformed spec is a usage error: silently running *without* the
+/// faults the user asked for would invalidate whatever they were testing.
+pub fn env_faults() -> Result<Option<FaultInjector>, String> {
     match FaultPlan::from_env() {
-        Ok(plan) => plan.filter(FaultPlan::is_active).map(FaultPlan::injector),
-        Err(msg) => {
-            eprintln!("{tool}: ${}: {msg}", chronus_grid::FAULTS_ENV);
-            std::process::exit(2);
-        }
+        Ok(plan) => Ok(plan.filter(FaultPlan::is_active).map(FaultPlan::injector)),
+        Err(msg) => Err(format!("${}: {msg}", chronus_grid::FAULTS_ENV)),
     }
 }
 
 /// Opens the result store the harness options point at, wiring any
 /// `CHRONUS_FAULTS` injection into its I/O path.
-pub fn open_store(opts: &HarnessOpts) -> ResultStore {
-    let store = match &opts.grid_dir {
-        Some(dir) => ResultStore::open(dir),
-        None => ResultStore::open_default(),
-    };
-    store
-        .unwrap_or_else(|e| panic!("opening grid result store: {e}"))
-        .with_faults(env_faults("chronus-bench"))
+///
+/// # Errors
+///
+/// `--grid-dir <dir>: <os error>` when the directory cannot be created or
+/// written (a regular file, a read-only directory), so the command fails
+/// at the command line rather than as failed cells later.
+pub fn open_store(opts: &HarnessOpts) -> Result<ResultStore, String> {
+    let dir = opts
+        .grid_dir
+        .clone()
+        .unwrap_or_else(ResultStore::default_dir);
+    let store = ResultStore::open(&dir)
+        .and_then(|store| {
+            // Named like the store's temp files, so a probe left by a
+            // killed process is reaped at a later open.
+            let probe = dir.join(format!(".probe.{}.tmp", std::process::id()));
+            std::fs::File::create(&probe)?;
+            std::fs::remove_file(probe)?;
+            Ok(store)
+        })
+        .map_err(|e| format!("--grid-dir {}: {e}", dir.display()))?;
+    Ok(store.with_faults(env_faults()?))
 }
 
 /// Grid execution options derived from the harness options (including the
 /// `CHRONUS_FAULTS` environment).
-pub fn exec_opts(opts: &HarnessOpts) -> ExecOpts {
-    ExecOpts {
+///
+/// # Errors
+///
+/// A malformed `CHRONUS_FAULTS` (see [`env_faults`]).
+pub fn exec_opts(opts: &HarnessOpts) -> Result<ExecOpts, String> {
+    Ok(ExecOpts {
         threads: opts.threads,
         shard: opts.shard,
         progress: !opts.quiet,
@@ -152,75 +138,98 @@ pub fn exec_opts(opts: &HarnessOpts) -> ExecOpts {
             None => RetryPolicy::default(),
         },
         cell_timeout: opts.cell_timeout,
-        faults: env_faults("chronus-bench"),
+        faults: env_faults()?,
         lease_ttl: opts.lease_ttl,
         holder: None,
+    })
+}
+
+/// Executes the grids an artefact renders from. [`Runner`] runs them on
+/// the result store; a test substitutes a fake that records the specs.
+pub trait Executor {
+    /// Executes `spec`, returning one report slot per cell.
+    fn execute(&mut self, spec: &GridSpec) -> GridOutcome;
+}
+
+/// The executor of the `chronus` binary: [`run_grid`] on the store the
+/// harness options name (none under `--no-cache`), printing the
+/// cache/shard accounting line on stderr.
+///
+/// Cells that failed permanently never abort an artefact: they are
+/// reported on stderr, recorded in the store's failure manifest and
+/// counted in [`Self::degraded`], and the figure still renders from every
+/// healthy cell.
+pub struct Runner {
+    store: Option<ResultStore>,
+    exec: ExecOpts,
+    degraded: usize,
+}
+
+impl Runner {
+    /// Opens the store and derives the execution options.
+    ///
+    /// # Errors
+    ///
+    /// See [`open_store`] and [`exec_opts`].
+    pub fn new(opts: &HarnessOpts) -> Result<Self, String> {
+        Ok(Self {
+            store: if opts.no_cache {
+                None
+            } else {
+                Some(open_store(opts)?)
+            },
+            exec: exec_opts(opts)?,
+            degraded: 0,
+        })
+    }
+
+    /// Grids executed so far that ended degraded (the process then exits
+    /// with [`chronus_grid::DEGRADED_EXIT`]).
+    pub fn degraded(&self) -> usize {
+        self.degraded
     }
 }
 
-/// Executes a spec with the harness options and prints the cache/shard
-/// accounting line on stderr. `--no-cache` runs without a store — no
-/// directory is created or read.
-///
-/// Cells that failed permanently never abort the binary: they are reported
-/// on stderr, recorded in the store's failure manifest, and flagged so
-/// [`exit_code`] returns [`DEGRADED_EXIT`] — the figure still renders from
-/// every healthy cell.
-pub fn execute(spec: &GridSpec, opts: &HarnessOpts) -> GridOutcome {
-    let store = (!opts.no_cache).then(|| open_store(opts));
-    let outcome = run_grid(spec, store.as_ref(), &exec_opts(opts));
-    if !opts.quiet {
-        let where_ = match &store {
-            Some(s) => format!(" (store: {})", s.dir().display()),
-            None => String::new(),
-        };
-        eprintln!(
-            "[{}] {} in {:.1}s{where_}",
-            spec.name,
-            outcome.stats.summary(),
-            outcome.wall_seconds,
-        );
-    }
-    if outcome.is_degraded() {
-        DEGRADED.store(true, Ordering::Relaxed);
-        eprintln!(
-            "[{}] DEGRADED: {} cell(s) failed permanently:",
-            spec.name,
-            outcome.failures.len()
-        );
-        for f in &outcome.failures {
+impl Executor for Runner {
+    fn execute(&mut self, spec: &GridSpec) -> GridOutcome {
+        let outcome = run_grid(spec, self.store.as_ref(), &self.exec);
+        if self.exec.progress {
+            let where_ = match &self.store {
+                Some(s) => format!(" (store: {})", s.dir().display()),
+                None => String::new(),
+            };
             eprintln!(
-                "[{}]   #{} '{}' ({:?} after {} attempt(s)): {}",
-                spec.name, f.index, f.label, f.kind, f.attempts, f.error
+                "[{}] {} in {:.1}s{where_}",
+                spec.name,
+                outcome.stats.summary(),
+                outcome.wall_seconds,
             );
         }
-        eprintln!(
-            "[{}] rerun the same command to retry the failed cells \
-             (completed cells replay from the store)",
-            spec.name
-        );
-    } else if !outcome.is_complete() && opts.shard.is_full() {
-        // With a full shard and zero recorded failures every cell should
-        // resolve; a hole here means the executor itself lost track.
-        panic!("grid '{}' incomplete after a full (1/1) run", spec.name);
+        if outcome.is_degraded() {
+            self.degraded += 1;
+            eprintln!(
+                "[{}] DEGRADED: {} cell(s) failed permanently:",
+                spec.name,
+                outcome.failures.len()
+            );
+            for f in &outcome.failures {
+                eprintln!(
+                    "[{}]   #{} '{}' ({:?} after {} attempt(s)): {}",
+                    spec.name, f.index, f.label, f.kind, f.attempts, f.error
+                );
+            }
+            eprintln!(
+                "[{}] rerun the same command to retry the failed cells \
+                 (completed cells replay from the store)",
+                spec.name
+            );
+        } else if !outcome.is_complete() && self.exec.shard.is_full() {
+            // With a full shard and zero recorded failures every cell should
+            // resolve; a hole here means the executor itself lost track.
+            panic!("grid '{}' incomplete after a full (1/1) run", spec.name);
+        }
+        outcome
     }
-    outcome
-}
-
-/// The exit code this process should end with: [`DEGRADED_EXIT`] if any
-/// grid executed so far was degraded, `0` otherwise.
-pub fn exit_code() -> i32 {
-    if DEGRADED.load(Ordering::Relaxed) {
-        DEGRADED_EXIT
-    } else {
-        0
-    }
-}
-
-/// Terminates the process with [`exit_code`] — the last line of every
-/// figure binary, so degraded grids surface to scripts and CI.
-pub fn finish() -> ! {
-    std::process::exit(exit_code());
 }
 
 fn preventive_rows(report: &SimReport) -> u64 {
@@ -347,25 +356,14 @@ impl MixSweep {
     }
 }
 
-/// Full multi-core sweep: `mechanisms × nrh_list` over the configured
-/// mixes, producing normalised rows (Fig. 4, 8, 9, 10, 12).
-pub fn sweep_mixes(
-    mechanisms: &[MechanismKind],
-    nrh_list: &[u32],
-    opts: &HarnessOpts,
-) -> Vec<SweepRow> {
-    let sweep = MixSweep::build("mix-sweep", mechanisms, nrh_list, opts, &|_| {});
-    let outcome = execute(&sweep.spec, opts);
-    sweep.rows(&outcome)
-}
-
 /// A homogeneous-copies sweep (Fig. 7 with one core, Fig. 14/15 with
 /// eight) as a grid: per app, one baseline cell and one cell per
 /// (mechanism, N_RH).
 pub struct AppSweep {
     /// The declarative grid.
     pub spec: GridSpec,
-    apps: Vec<AppProfile>,
+    /// The applications, in build order.
+    pub apps: Vec<AppProfile>,
     baseline: Vec<usize>,
     /// (app index, cell index) in row order.
     jobs: Vec<(usize, usize)>,
@@ -462,75 +460,18 @@ impl AppSweep {
     }
 }
 
-/// Single-core sweep over applications (Fig. 7, Fig. 14/15 building block).
-pub fn sweep_single_core(
-    apps: &[AppProfile],
-    mechanisms: &[MechanismKind],
-    nrh_list: &[u32],
-    opts: &HarnessOpts,
-    num_cores: usize,
-    large_llc: bool,
-) -> Vec<SweepRow> {
-    let sweep = AppSweep::build(
-        "app-sweep",
-        apps,
-        mechanisms,
-        nrh_list,
-        opts,
-        num_cores,
-        large_llc,
-    );
-    let outcome = execute(&sweep.spec, opts);
-    sweep.rows(&outcome)
-}
-
-/// Runs `num_cores` copies of one application (single-core when 1),
-/// directly and uncached.
-pub fn run_homogeneous(
-    app: &AppProfile,
-    mech: MechanismKind,
-    nrh: u32,
-    opts: &HarnessOpts,
-    num_cores: usize,
-    large_llc: bool,
-) -> SimReport {
-    let mut cfg = if large_llc {
-        SimConfig::eight_core_large_llc()
-    } else {
-        SimConfig::four_core()
-    };
-    cfg.num_cores = num_cores;
-    cfg.instructions_per_core = opts.instructions;
-    cfg.mechanism = mech;
-    cfg.nrh = nrh;
-    cfg.seed = opts.seed;
-    cfg.obs = opts.obs;
-    cfg.max_mem_cycles = opts.instructions.saturating_mul(4000).max(1 << 22);
-    let traces: Vec<Trace> = (0..num_cores)
-        .map(|i| {
-            synthetic_from_profile(*app, i as u64).generate(
-                opts.instructions + opts.instructions / 10,
-                opts.seed ^ i as u64,
-            )
-        })
-        .collect();
-    System::build(&cfg).run(traces)
-}
-
-/// Pivots sweep rows into a mechanism × N_RH table of geometric means.
+/// Renders sweep rows as a mechanism × N_RH table of geometric means;
+/// `!` marks a point that is not wave-attack secure.
 pub fn pivot_geomean(
     rows: &[SweepRow],
     nrh_list: &[u32],
     value: impl Fn(&SweepRow) -> f64,
-) -> Vec<Vec<String>> {
-    let mut mech_order: Vec<String> = Vec::new();
-    for r in rows {
-        if !mech_order.contains(&r.mechanism) {
-            mech_order.push(r.mechanism.clone());
-        }
-    }
+) -> String {
+    let mut headers = vec!["mechanism".to_string()];
+    headers.extend(nrh_list.iter().map(|n| format!("N_RH={n}")));
+    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut out = Vec::new();
-    for mech in &mech_order {
+    for mech in &mechanism_order(rows) {
         let mut line = vec![mech.clone()];
         for &nrh in nrh_list {
             let vals: Vec<f64> = rows
@@ -552,5 +493,16 @@ pub fn pivot_geomean(
         }
         out.push(line);
     }
-    out
+    crate::tables::format_table(&headers, &out)
+}
+
+/// The mechanisms of `rows` in first-appearance order.
+pub fn mechanism_order(rows: &[SweepRow]) -> Vec<String> {
+    let mut order: Vec<String> = Vec::new();
+    for r in rows {
+        if !order.contains(&r.mechanism) {
+            order.push(r.mechanism.clone());
+        }
+    }
+    order
 }

@@ -1,4 +1,4 @@
-//! Text-table rendering and JSON output for the figure binaries.
+//! Text-table rendering and JSON output for the artefacts.
 
 use std::path::Path;
 
@@ -48,7 +48,7 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 ///
 /// # Panics
 ///
-/// Panics on I/O errors — harness binaries want loud failures.
+/// Panics on I/O errors — the harness wants loud failures.
 pub fn write_json<T: Serialize>(path: &Path, data: &T) {
     let json = serde_json::to_string_pretty(data).expect("serialisable");
     std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));

@@ -18,7 +18,7 @@
 //!    disagrees with its last journaled `Complete` is ***diverged*** — the
 //!    one condition `doctor` cannot heal (the entry verifies, so no rerun
 //!    will replace it) and the reason [`DoctorReport::is_healthy`] goes
-//!    false and `chronus-sweep doctor` exits 3.
+//!    false and `chronus doctor` exits 3.
 //!
 //! Interrupted and missing cells are healthy-by-rerun: store entries are
 //! byte-deterministic, so re-simulation reproduces exactly what was lost.

@@ -952,7 +952,7 @@ pub fn run_grid(spec: &GridSpec, store: Option<&ResultStore>, opts: &ExecOpts) -
     }
     failures.sort_by_key(|f| f.index);
 
-    // Persist (or heal) the failure manifest so `chronus-sweep status` and
+    // Persist (or heal) the failure manifest so `chronus status` and
     // later runs see what degraded.
     if let Some(store) = store {
         update_manifest(

@@ -393,7 +393,7 @@ impl ResultStore {
             EntryState::Missing => None,
             EntryState::Bad(issue) => {
                 eprintln!(
-                    "chronus-grid: ignoring cache entry {} ({issue}); run `chronus-sweep fsck` \
+                    "chronus-grid: ignoring cache entry {} ({issue}); run `chronus fsck` \
                      to quarantine it",
                     self.path_of(hash).display()
                 );
@@ -715,7 +715,7 @@ impl ResultStore {
         if let ManifestState::Bad(reason) = &state {
             eprintln!(
                 "chronus-grid: failure manifest {} is corrupt ({reason}); treating as absent — \
-                 run `chronus-sweep fsck` to quarantine it",
+                 run `chronus fsck` to quarantine it",
                 self.manifest_path(grid).display()
             );
             let name = format!("failures/{grid}.json");

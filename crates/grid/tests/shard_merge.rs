@@ -51,7 +51,7 @@ fn opts(shard: Shard) -> ExecOpts {
     }
 }
 
-/// Merged reports rendered exactly as `chronus-sweep merge` writes them.
+/// Merged reports rendered exactly as `chronus merge` writes them.
 fn merged_bytes(spec: &GridSpec, store: &ResultStore) -> String {
     let reports = merge(spec, store).expect("grid complete");
     serde_json::to_string_pretty(&reports).unwrap()
